@@ -34,10 +34,12 @@ check-noanalyze: lint crash-recovery checkpoint-chaos incident-chaos race-pipeli
 # columnar-oracle pins the columnar hot path to the retained row
 # decoder: pushed-down filtering must select exactly the rows the row
 # decoder keeps, and a full scan→classify replay on the columnar path
-# must be byte-identical to the row oracle — under the race detector
+# must be byte-identical to the row oracle; on the write side, the
+# column block encoder's frames and whole segment files must be
+# byte-equal to the retained row encoder's — under the race detector
 # with shuffled order, test cache defeated so the gate always runs.
 columnar-oracle:
-	$(GO) test -race -shuffle=on ./internal/flowstore -run 'TestPushdownMatchesRowFilter|TestRowDecodeOracleEquivalence|TestV1ArchiveCompat|TestScanStatsColumnsDecoded' -count=1
+	$(GO) test -race -shuffle=on ./internal/flowstore -run 'TestPushdownMatchesRowFilter|TestRowDecodeOracleEquivalence|TestV1ArchiveCompat|TestScanStatsColumnsDecoded|TestBlockEncoderMatchesRowOracle|TestSegmentFilesMatchRowOracle' -count=1
 	$(GO) test -race -shuffle=on ./internal/core -run 'TestColumnarMatchesRow' -count=1
 	$(GO) test -race -shuffle=on ./internal/pipe -run 'TestFanOutColumnar|TestColsBatchLazyMaterialization' -count=1
 

@@ -487,6 +487,7 @@ func BenchmarkFlowstoreIngest(b *testing.B) {
 		days[d] = scenario.Day(trafficgen.KindTier2, d)
 		total += len(days[d])
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	var stats flowstore.Stats
 	for i := 0; i < b.N; i++ {

@@ -53,6 +53,12 @@ const (
 // uint64 halves. Invalid addresses yield zero halves; flag bits record
 // validity and the 4/16 distinction so reconstruction is exact.
 func AddrHalves(a netip.Addr) (hi, lo uint64) {
+	if a.Is4() {
+		// The IPv4-mapped form ::ffff:a.b.c.d, read without the 16-byte
+		// array round trip, whose reload stalls on store forwarding.
+		b := a.As4()
+		return 0, 0xffff<<32 | uint64(binary.BigEndian.Uint32(b[:]))
+	}
 	b := a.As16()
 	return binary.BigEndian.Uint64(b[0:8]), binary.BigEndian.Uint64(b[8:16])
 }

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"testing"
 	"time"
@@ -279,5 +280,28 @@ func TestSourceSetCapAndOverflow(t *testing.T) {
 	}
 	if u.Len() != 100 || u.Overflow() != 0 {
 		t.Errorf("unbounded set len/overflow = %d/%d", u.Len(), u.Overflow())
+	}
+}
+
+// TestAddrHalves: the halves are the big-endian words of As16 for every
+// address shape — IPv4 takes a shortcut, so it is pinned against the
+// 16-byte form — and AddrFromHalves inverts them under the flag bits.
+func TestAddrHalves(t *testing.T) {
+	for _, a := range []netip.Addr{
+		{}, addr("0.0.0.0"), addr("198.51.100.7"), addr("255.255.255.255"),
+		addr("::"), addr("::ffff:198.51.100.7"), addr("2001:db8::1"),
+		addr("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"),
+	} {
+		hi, lo := AddrHalves(a)
+		b := a.As16()
+		if want := binary.BigEndian.Uint64(b[:8]); hi != want {
+			t.Errorf("%v: hi %#x, want %#x", a, hi, want)
+		}
+		if want := binary.BigEndian.Uint64(b[8:]); lo != want {
+			t.Errorf("%v: lo %#x, want %#x", a, lo, want)
+		}
+		if got := AddrFromHalves(hi, lo, a.IsValid(), a.Is4()); got != a {
+			t.Errorf("%v: round trip gave %v", a, got)
+		}
 	}
 }

@@ -27,7 +27,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -58,8 +58,8 @@ type Options struct {
 	// never spans partitions, so time-bounded scans prune whole
 	// segments from the manifest alone.
 	Partition time.Duration
-	// NoSync skips the fsync on segment seal — for tests and
-	// benchmarks; durable deployments leave it false.
+	// NoSync skips the fsyncs on segment seal and manifest save — for
+	// tests and benchmarks; durable deployments leave it false.
 	NoSync bool
 	// WriteFault, when set, is consulted before every block write —
 	// the chaos hook crash-recovery tests use to kill a writer
@@ -100,7 +100,8 @@ type Stats struct {
 	// RecordsDurable counts records in fully written (CRC-framed)
 	// blocks.
 	RecordsDurable uint64
-	// RecordsBuffered counts records waiting in open block buffers.
+	// RecordsBuffered counts records staged in open blocks, not yet
+	// encoded.
 	RecordsBuffered uint64
 	// RecordsDropped counts records lost to write errors or injected
 	// faults — accounted, not silent.
@@ -136,6 +137,15 @@ type Store struct {
 	stats  Stats
 	rec    RecoveryReport
 	closed bool
+	// enc encodes every block of every shard; writes serialize on mu.
+	enc blockEncoder
+	// colFree holds the column stages of sealed segment writers for the
+	// next segments to reuse, at most one per shard: a partition
+	// rollover seals the stale segment before opening the new one, so
+	// its stage passes straight across, and after a Seal each shard
+	// reopens its current partition first. A longer list would hold
+	// full-size stages idle.
+	colFree []*flow.Columns
 }
 
 // shardWriter routes one shard's records into per-partition segments.
@@ -146,32 +156,48 @@ type shardWriter struct {
 	segSeq   int
 	maxPart  int64
 	havePart bool
+	// cur is the writer of the shard's last record and curPart its
+	// partition: ingest is roughly time-ordered, so most records skip
+	// the partition arithmetic and the map lookup. Nil when sealed.
+	cur     *segmentWriter
+	curPart int64
 }
 
 // shardOf routes a record to a shard by an FNV-1a hash of its flow
-// key. The hash is fixed (not per-process seeded) so the same input
-// always produces the same shard layout — replay determinism extends
-// to the bytes on disk.
+// key: the 16-byte source and destination addresses, the big-endian
+// ports and the protocol. The hash is fixed (not per-process seeded) so
+// the same input always produces the same shard layout — replay
+// determinism extends to the bytes on disk.
 func shardOf(r *flow.Record, shards int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) { h = (h ^ uint64(b)) * prime64 }
-	src, dst := r.Src.As16(), r.Dst.As16()
-	for _, b := range src {
-		mix(b)
-	}
-	for _, b := range dst {
-		mix(b)
-	}
-	mix(byte(r.SrcPort >> 8))
-	mix(byte(r.SrcPort))
-	mix(byte(r.DstPort >> 8))
-	mix(byte(r.DstPort))
-	mix(r.Protocol)
+	shi, slo := flow.AddrHalves(r.Src)
+	dhi, dlo := flow.AddrHalves(r.Dst)
+	h := fnvWord(fnvWord(fnvWord(fnvWord(fnvOffset64, shi), slo), dhi), dlo)
+	h = (h ^ uint64(r.SrcPort>>8)) * fnvPrime64
+	h = (h ^ uint64(r.SrcPort&0xff)) * fnvPrime64
+	h = (h ^ uint64(r.DstPort>>8)) * fnvPrime64
+	h = (h ^ uint64(r.DstPort&0xff)) * fnvPrime64
+	h = (h ^ uint64(r.Protocol)) * fnvPrime64
 	return int(h % uint64(shards))
+}
+
+// FNV-1a 64-bit parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvWord feeds w's eight bytes, most significant first, into the
+// FNV-1a hash h — the bytes of one big-endian address half, taken from
+// registers instead of an As16 array.
+func fnvWord(h, w uint64) uint64 {
+	h = (h ^ w>>56) * fnvPrime64
+	h = (h ^ w>>48&0xff) * fnvPrime64
+	h = (h ^ w>>40&0xff) * fnvPrime64
+	h = (h ^ w>>32&0xff) * fnvPrime64
+	h = (h ^ w>>24&0xff) * fnvPrime64
+	h = (h ^ w>>16&0xff) * fnvPrime64
+	h = (h ^ w>>8&0xff) * fnvPrime64
+	return (h ^ w&0xff) * fnvPrime64
 }
 
 // Open opens the store at dir, creating it when absent. Opening an
@@ -196,7 +222,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			PartitionSec: int64(opts.Partition / time.Second),
 			Meta:         opts.Meta,
 		}
-		if err := man.save(dir); err != nil {
+		if err := man.save(dir, opts.NoSync); err != nil {
 			return nil, err
 		}
 	} else {
@@ -206,6 +232,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.opts.Partition = time.Duration(man.PartitionSec) * time.Second
 	}
 	s.man = man
+	s.enc.init(s.opts.BlockRecords)
 	for i := 0; i < s.opts.Shards; i++ {
 		sd := filepath.Join(dir, fmt.Sprintf("shard-%02d", i))
 		if err := os.MkdirAll(sd, 0o755); err != nil {
@@ -242,6 +269,10 @@ func (s *Store) recover() error {
 			if sealed[rel] {
 				continue
 			}
+			part, seq, err := parseSegName(name)
+			if err != nil {
+				return fmt.Errorf("flowstore: recovering %s: %w", rel, err)
+			}
 			path := filepath.Join(sw.dir, name)
 			scan, err := scanSegmentFile(path, true)
 			if err != nil {
@@ -266,7 +297,6 @@ func (s *Store) recover() error {
 				changed = true
 				continue
 			}
-			part, seq := parseSegName(name)
 			minSec := scan.blocks[0].MinStart.Unix()
 			maxSec := scan.blocks[0].MaxStart.Unix()
 			for _, b := range scan.blocks[1:] {
@@ -302,15 +332,20 @@ func (s *Store) recover() error {
 		// Later segments of a partition must not collide with sealed
 		// names either.
 		for _, e := range s.man.Segments {
-			if e.Shard == sw.id {
-				if _, seq := parseSegName(e.File); seq >= sw.segSeq {
-					sw.segSeq = seq + 1
-				}
+			if e.Shard != sw.id {
+				continue
+			}
+			_, seq, err := parseSegName(e.File)
+			if err != nil {
+				return fmt.Errorf("flowstore: manifest: %w", err)
+			}
+			if seq >= sw.segSeq {
+				sw.segSeq = seq + 1
 			}
 		}
 	}
 	if changed {
-		return s.man.save(s.dir)
+		return s.man.save(s.dir, s.opts.NoSync)
 	}
 	return nil
 }
@@ -320,9 +355,11 @@ func segName(partSec int64, seq int) string {
 	return fmt.Sprintf("seg-%d-%04d.fsg", partSec, seq)
 }
 
-func parseSegName(name string) (partSec int64, seq int) {
-	fmt.Sscanf(name, "seg-%d-%d.fsg", &partSec, &seq)
-	return partSec, seq
+func parseSegName(name string) (partSec int64, seq int, err error) {
+	if _, err := fmt.Sscanf(name, "seg-%d-%d.fsg", &partSec, &seq); err != nil || segName(partSec, seq) != name {
+		return 0, 0, fmt.Errorf("flowstore: segment file %q is not named seg-<partition>-<seq>.fsg", name)
+	}
+	return partSec, seq, nil
 }
 
 // Recovery reports what the Open-time crash recovery found.
@@ -376,20 +413,24 @@ func (s *Store) Append(records []flow.Record) error {
 	start := time.Now() //bsvet:allow determinism ingest latency telemetry measures host time, not simulated time
 	s.stats.RecordsAppended += uint64(len(records))
 	metricIngestRecords.Add(uint64(len(records)))
+	psec := uint64(s.opts.Partition / time.Second)
 	var firstErr error
 	for i := range records {
 		r := &records[i]
 		sw := s.shards[shardOf(r, s.opts.Shards)]
-		w, err := s.segmentFor(sw, s.partitionOf(r.Start))
-		if err != nil {
-			s.stats.RecordsDropped++
-			metricDroppedRecords.Inc()
-			if firstErr == nil {
-				firstErr = err
+		w := sw.cur
+		if sec := r.Start.Unix(); w == nil || sec < sw.curPart || uint64(sec)-uint64(sw.curPart) >= psec {
+			var err error
+			if w, err = s.segmentFor(sw, s.partitionOf(r.Start)); err != nil {
+				s.stats.RecordsDropped++
+				metricDroppedRecords.Inc()
+				if firstErr == nil {
+					firstErr = err
+				}
+				continue
 			}
-			continue
 		}
-		if err := w.add(*r); err != nil && firstErr == nil {
+		if err := w.add(r); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -404,16 +445,24 @@ func (s *Store) Append(records []flow.Record) error {
 // new segment file there).
 func (s *Store) segmentFor(sw *shardWriter, part int64) (*segmentWriter, error) {
 	if w, ok := sw.open[part]; ok {
+		sw.cur, sw.curPart = w, part
 		return w, nil
 	}
 	if !sw.havePart || part > sw.maxPart {
 		sw.maxPart, sw.havePart = part, true
 		psec := int64(s.opts.Partition / time.Second)
-		for p, w := range sw.open {
+		var stale []int64
+		for p := range sw.open {
 			if p <= part-2*psec {
-				if err := s.sealSegment(sw, p, w); err != nil {
-					return nil, err
-				}
+				stale = append(stale, p)
+			}
+		}
+		// Ascending order makes the seal events and the first error
+		// returned independent of map iteration order.
+		slices.Sort(stale)
+		for _, p := range stale {
+			if err := s.sealSegment(sw, p, sw.open[p]); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -424,6 +473,7 @@ func (s *Store) segmentFor(sw *shardWriter, part int64) (*segmentWriter, error) 
 		return nil, err
 	}
 	sw.open[part] = w
+	sw.cur, sw.curPart = w, part
 	return w, nil
 }
 
@@ -431,6 +481,9 @@ func (s *Store) segmentFor(sw *shardWriter, part int64) (*segmentWriter, error) 
 // (in memory; the manifest is saved by Seal/Close).
 func (s *Store) sealSegment(sw *shardWriter, part int64, w *segmentWriter) error {
 	delete(sw.open, part)
+	if sw.cur == w {
+		sw.cur = nil
+	}
 	if err := w.seal(!s.opts.NoSync); err != nil {
 		return err
 	}
@@ -473,14 +526,14 @@ func (s *Store) sealLocked() error {
 		for p := range sw.open {
 			parts = append(parts, p)
 		}
-		sort.Slice(parts, func(i, j int) bool { return parts[i] < parts[j] })
+		slices.Sort(parts)
 		for _, p := range parts {
 			if err := s.sealSegment(sw, p, sw.open[p]); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
 	}
-	if err := s.man.save(s.dir); err != nil && firstErr == nil {
+	if err := s.man.save(s.dir, s.opts.NoSync); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr
@@ -507,7 +560,7 @@ func (s *Store) Stats() Stats {
 	st.RecordsBuffered = 0
 	for _, sw := range s.shards {
 		for _, w := range sw.open {
-			st.RecordsBuffered += uint64(len(w.buf))
+			st.RecordsBuffered += uint64(w.cols.Len())
 		}
 	}
 	return st
@@ -530,6 +583,27 @@ func (s *Store) noteBlockWritten(records, bytes uint64) {
 	s.stats.BytesWritten += bytes
 	metricBlocksWritten.Inc()
 	metricBytesWritten.Add(bytes)
+}
+
+// takeColumns hands a new segment writer an empty column stage,
+// recycled from a sealed writer when one is free. Called with s.mu held.
+func (s *Store) takeColumns() *flow.Columns {
+	if n := len(s.colFree); n > 0 {
+		c := s.colFree[n-1]
+		s.colFree = s.colFree[:n-1]
+		return c
+	}
+	return new(flow.Columns)
+}
+
+// releaseColumns takes back a sealed writer's column stage, keeping it
+// for reuse while the free list holds fewer than one per shard. Called
+// with s.mu held.
+func (s *Store) releaseColumns(c *flow.Columns) {
+	if len(s.colFree) < s.opts.Shards {
+		c.Reset()
+		s.colFree = append(s.colFree, c)
+	}
 }
 
 // dropBuffered accounts records lost to a failed block write.

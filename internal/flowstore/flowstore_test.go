@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -561,5 +562,116 @@ func TestMetaRoundTrip(t *testing.T) {
 		if got[k] != v {
 			t.Fatalf("meta[%q] = %q, want %q", k, got[k], v)
 		}
+	}
+}
+
+// TestStaleSegmentsSealInPartitionOrder: when a record several
+// partitions ahead makes many open segments stale at once, they seal in
+// ascending partition order, not map order — the seal events and the
+// first error returned must not vary from run to run.
+func TestStaleSegmentsSealInPartitionOrder(t *testing.T) {
+	day := func(d int) flow.Record {
+		r := genFlows(rand.New(rand.NewSource(int64(d))), testBase, 1, 1)[0]
+		r.Start = testBase.Add(time.Duration(d)*24*time.Hour + time.Hour)
+		r.End = r.Start.Add(time.Minute)
+		return r
+	}
+	// Day 9 opens first, late records reopen days 0-4, and day 20 makes
+	// all six stale.
+	var recs []flow.Record
+	for _, d := range []int{9, 0, 1, 2, 3, 4, 20} {
+		recs = append(recs, day(d))
+	}
+	var want []int64
+	for _, d := range []int{0, 1, 2, 3, 4, 9} {
+		want = append(want, testBase.Add(time.Duration(d)*24*time.Hour).Unix())
+	}
+	for trial := 0; trial < 5; trial++ {
+		s, err := Open(t.TempDir(), Options{Shards: 1, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Append(recs); err != nil {
+			t.Fatal(err)
+		}
+		// No manifest save has run since Open, so the entries are still
+		// in seal order.
+		var got []int64
+		for _, e := range s.Segments() {
+			got = append(got, e.PartitionSec)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: sealed partitions %v, want %v", trial, got, want)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRecoveryRejectsStraySegmentName: an unsealed seg-* file whose
+// name does not round-trip through segName is an error naming the
+// file, not a segment adopted as partition 0, seq 0 — and the file is
+// left untouched.
+func TestRecoveryRejectsStraySegmentName(t *testing.T) {
+	for _, stray := range []string{"seg-garbage.fsg", "seg-0-1.fsg", "seg-0-0001.fsg.bak"} {
+		dir := t.TempDir()
+		s, err := Open(dir, Options{Shards: 1, BlockRecords: 64, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Append(genFlows(rand.New(rand.NewSource(3)), testBase, 1, 200)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		body, err := os.ReadFile(filepath.Join(dir, "shard-00", s.Segments()[0].File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "shard-00", stray)
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s2, err := Open(dir, Options{}); err == nil {
+			s2.Close()
+			t.Fatalf("%s: Open adopted a misnamed segment", stray)
+		} else if !strings.Contains(err.Error(), stray) {
+			t.Fatalf("%s: error %q does not name the file", stray, err)
+		}
+		if after, err := os.ReadFile(path); err != nil || string(after) != string(body) {
+			t.Fatalf("%s: stray file changed by the failed recovery (err %v)", stray, err)
+		}
+	}
+}
+
+// TestManifestSave: the manifest publishes with and without fsync
+// (Options.NoSync), leaves no temp file, and reports a failed rename.
+func TestManifestSave(t *testing.T) {
+	dir := t.TempDir()
+	m := &manifest{Version: manifestVersion, Shards: 2, BlockRecords: 64, PartitionSec: 86400}
+	for _, noSync := range []bool{false, true} {
+		m.Meta = map[string]string{"nosync": fmt.Sprint(noSync)}
+		if err := m.save(dir, noSync); err != nil {
+			t.Fatalf("noSync=%v: %v", noSync, err)
+		}
+		got, err := loadManifest(dir)
+		if err != nil || got.Meta["nosync"] != fmt.Sprint(noSync) {
+			t.Fatalf("noSync=%v: reloaded %+v, %v", noSync, got, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, manifestName+".tmp")); !os.IsNotExist(err) {
+			t.Fatalf("noSync=%v: temp file left behind (%v)", noSync, err)
+		}
+	}
+	// A non-empty directory where the manifest belongs fails the rename.
+	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, manifestName, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.save(dir, false); err == nil {
+		t.Fatal("save over a directory succeeded")
 	}
 }

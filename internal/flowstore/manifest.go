@@ -48,8 +48,11 @@ type manifest struct {
 	Segments     []SegmentEntry    `json:"segments"`
 }
 
-// save writes the manifest atomically (tmp + rename + dir sync).
-func (m *manifest) save(dir string) error {
+// save writes the manifest atomically: a temp file written and fsynced
+// through one descriptor, renamed over the manifest, then the directory
+// fsynced so the rename itself survives a crash. noSync (Options.NoSync)
+// skips both fsyncs. Every step's error is returned.
+func (m *manifest) save(dir string, noSync bool) error {
 	sort.Slice(m.Segments, func(i, j int) bool {
 		a, b := m.Segments[i], m.Segments[j]
 		if a.Shard != b.Shard {
@@ -65,22 +68,44 @@ func (m *manifest) save(dir string) error {
 		return err
 	}
 	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	f, err := os.Open(tmp)
-	if err == nil {
-		f.Sync()
-		f.Close()
+	if err := writeSynced(tmp, append(b, '\n'), noSync); err != nil {
+		return fmt.Errorf("flowstore: writing manifest: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
+		return fmt.Errorf("flowstore: publishing manifest: %w", err)
+	}
+	if noSync {
+		return nil
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("flowstore: syncing manifest directory: %w", err)
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return fmt.Errorf("flowstore: syncing manifest directory: %w", err)
+	}
+	return d.Close()
+}
+
+// writeSynced writes data to path through one write-only descriptor,
+// fsyncing it before close unless noSync.
+func writeSynced(path string, data []byte, noSync bool) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
 	}
-	return nil
+	if !noSync {
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	return f.Close()
 }
 
 // loadManifest reads the manifest; a missing file returns (nil, nil).

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/netip"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -61,35 +60,6 @@ func (ix *blockIndex) setProto(p uint8) { ix.Protocols[p>>3] |= 1 << (p & 7) }
 
 // hasProto reports whether protocol p occurs in the block.
 func (ix *blockIndex) hasProto(p uint8) bool { return ix.Protocols[p>>3]&(1<<(p&7)) != 0 }
-
-// buildIndex computes the sparse index of a sorted record block.
-func buildIndex(records []flow.Record) blockIndex {
-	ix := blockIndex{Records: uint32(len(records))}
-	for i := range records {
-		r := &records[i]
-		sec := r.Start.Unix()
-		d := r.Dst.As16()
-		if i == 0 {
-			ix.MinStartSec, ix.MaxStartSec = sec, sec
-			ix.MinDst, ix.MaxDst = d, d
-		} else {
-			if sec < ix.MinStartSec {
-				ix.MinStartSec = sec
-			}
-			if sec > ix.MaxStartSec {
-				ix.MaxStartSec = sec
-			}
-			if bytes.Compare(d[:], ix.MinDst[:]) < 0 {
-				ix.MinDst = d
-			}
-			if bytes.Compare(d[:], ix.MaxDst[:]) > 0 {
-				ix.MaxDst = d
-			}
-		}
-		ix.setProto(r.Protocol)
-	}
-	return ix
-}
 
 // marshal encodes the fixed-size index.
 func (ix *blockIndex) marshal(dst []byte) []byte {
@@ -147,13 +117,15 @@ func (ix *blockIndex) prunable(q *Query) bool {
 	return false
 }
 
-// segmentWriter appends blocks to one segment file.
+// segmentWriter appends blocks to one segment file. Records wait for
+// their block in cols, column buffers borrowed from the store's free
+// list (see Store.takeColumns) and returned when the writer seals.
 type segmentWriter struct {
 	store   *Store
 	shard   int
 	path    string
 	f       *os.File
-	buf     []flow.Record
+	cols    *flow.Columns
 	records uint64 // durable records (in fully written blocks)
 	blocks  uint64
 	bytes   uint64
@@ -177,75 +149,64 @@ func newSegmentWriter(store *Store, shard int, path string) (*segmentWriter, err
 	}
 	return &segmentWriter{
 		store: store, shard: shard, path: path, f: f,
+		cols:  store.takeColumns(),
 		bytes: uint64(len(segMagic)),
 	}, nil
 }
 
-// add buffers one record, flushing a block when the buffer fills.
-func (w *segmentWriter) add(rec flow.Record) error {
-	w.buf = append(w.buf, rec)
-	if len(w.buf) >= w.store.opts.BlockRecords {
+// add stages one record, flushing a block when the stage fills.
+func (w *segmentWriter) add(rec *flow.Record) error {
+	w.cols.AppendRecord(rec)
+	if w.cols.Len() >= w.store.opts.BlockRecords {
 		return w.flushBlock()
 	}
 	return nil
 }
 
-// flushBlock encodes and writes the buffered records as one block. On
-// any error — injected or real — the buffered records are counted as
+// flushBlock encodes and writes the staged records as one block. On
+// any error — injected or real — the staged records are counted as
 // dropped in the store accounting, never silently lost.
 func (w *segmentWriter) flushBlock() error {
-	if len(w.buf) == 0 {
+	n := uint64(w.cols.Len())
+	if n == 0 {
 		return nil
 	}
-	n := uint64(len(w.buf))
+	defer w.cols.Reset()
 	if w.broken {
 		w.store.dropBuffered(n)
-		w.buf = w.buf[:0]
 		return fmt.Errorf("flowstore: segment %s broken by earlier write error", w.path)
 	}
-	if err := w.store.opts.WriteFault.Check(fmt.Sprintf("block-write shard %d", w.shard)); err != nil {
-		w.store.dropBuffered(n)
-		w.buf = w.buf[:0]
-		return err
+	if fp := w.store.opts.WriteFault; fp != nil {
+		if err := fp.Check(fmt.Sprintf("block-write shard %d", w.shard)); err != nil {
+			w.store.dropBuffered(n)
+			return err
+		}
 	}
-	sort.SliceStable(w.buf, func(i, j int) bool { return w.buf[i].Start.Before(w.buf[j].Start) })
-	ix := buildIndex(w.buf)
-	payload := encodeBlock(w.buf)
-
-	frame := make([]byte, 0, frameHeadLen+blockIndexLen+len(payload))
-	frame = binary.BigEndian.AppendUint32(frame, uint32(blockIndexLen+len(payload)))
-	frame = frame[:frameHeadLen] // leave room for crc
-	frame = ix.marshal(frame)
-	frame = append(frame, payload...)
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(frame[frameHeadLen:]))
-
+	ix, frame := w.store.enc.encode(w.cols)
 	if _, err := w.f.Write(frame); err != nil {
 		w.broken = true
 		w.store.dropBuffered(n)
-		w.buf = w.buf[:0]
 		return fmt.Errorf("flowstore: writing block: %w", err)
 	}
 	if w.blocks == 0 {
 		w.minSec, w.maxSec = ix.MinStartSec, ix.MaxStartSec
 	} else {
-		if ix.MinStartSec < w.minSec {
-			w.minSec = ix.MinStartSec
-		}
-		if ix.MaxStartSec > w.maxSec {
-			w.maxSec = ix.MaxStartSec
-		}
+		w.minSec, w.maxSec = min(w.minSec, ix.MinStartSec), max(w.maxSec, ix.MaxStartSec)
 	}
 	w.blocks++
 	w.records += n
 	w.bytes += uint64(len(frame))
-	w.buf = w.buf[:0]
 	w.store.noteBlockWritten(n, uint64(len(frame)))
 	return nil
 }
 
-// seal flushes, fsyncs, and closes the file.
+// seal flushes, fsyncs, and closes the file, returning the column
+// buffers to the store whatever the outcome.
 func (w *segmentWriter) seal(sync bool) error {
-	if err := w.flushBlock(); err != nil {
+	err := w.flushBlock()
+	w.store.releaseColumns(w.cols)
+	w.cols = nil
+	if err != nil {
 		w.f.Close()
 		return err
 	}
