@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check check-noanalyze race lint analyze crash-recovery checkpoint-chaos incident-chaos race-pipeline federation columnar-oracle bench bench-smoke demo demo-lossy
+.PHONY: build test check check-noanalyze race lint analyze crash-recovery checkpoint-chaos incident-chaos race-pipeline federation columnar-oracle perfbench-selftest bench bench-smoke demo demo-lossy
 
 build:
 	$(GO) build ./...
@@ -18,8 +18,9 @@ race:
 # the flow-archive crash-recovery scenario, the daemon
 # checkpoint-chaos scenario, the sharded-pipeline race scenario, the
 # multi-vantage federation gate, the columnar-vs-row differential
-# oracle, plus the full suite under the race detector.
-check: lint analyze crash-recovery checkpoint-chaos incident-chaos race-pipeline federation columnar-oracle
+# oracle, the perfbench self-test, plus the full suite under the race
+# detector.
+check: lint analyze crash-recovery checkpoint-chaos incident-chaos race-pipeline federation columnar-oracle perfbench-selftest
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./...
 
@@ -27,7 +28,7 @@ check: lint analyze crash-recovery checkpoint-chaos incident-chaos race-pipeline
 # bsvet suite, which check.yml runs as its own parallel job with its
 # own build cache and a diagnostics artifact on failure. Local runs
 # should use plain `make check`.
-check-noanalyze: lint crash-recovery checkpoint-chaos incident-chaos race-pipeline federation columnar-oracle
+check-noanalyze: lint crash-recovery checkpoint-chaos incident-chaos race-pipeline federation columnar-oracle perfbench-selftest
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./...
 
@@ -42,6 +43,13 @@ columnar-oracle:
 	$(GO) test -race -shuffle=on ./internal/flowstore -run 'TestPushdownMatchesRowFilter|TestRowDecodeOracleEquivalence|TestV1ArchiveCompat|TestScanStatsColumnsDecoded|TestBlockEncoderMatchesRowOracle|TestSegmentFilesMatchRowOracle' -count=1
 	$(GO) test -race -shuffle=on ./internal/core -run 'TestColumnarMatchesRow' -count=1
 	$(GO) test -race -shuffle=on ./internal/pipe -run 'TestFanOutColumnar|TestColsBatchLazyMaterialization' -count=1
+
+# perfbench-selftest vets and tests the benchmark harness. perfbench is
+# its own module, so `go build ./...` at the root never compiles it; this
+# gate makes a program API change that breaks the benchmark fail here
+# instead of silently (-count=1 defeats the test cache).
+perfbench-selftest:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./... -count=1
 
 # analyze runs booterscope's repo-invariant static-analysis suite
 # (cmd/bsvet): determinism (no wall-clock or global-rand reads in

@@ -100,7 +100,7 @@ func LoadBudget(path string) (*Budget, error) {
 
 // hotFunc is one annotated function: its name and body line range.
 type hotFunc struct {
-	name      string // receiver-qualified: "(*colBlock).decodeCol" or "FanOut.routeRows"
+	name      string // receiver-qualified: "(*colBlock).decodeCol" or "(*FanOut).routeCols"
 	file      string // basename of the declaring file
 	startLine int
 	endLine   int

@@ -59,22 +59,22 @@ func IsNTPFlow(r *flow.Record) bool {
 // IsAmplifiedNTP applies the optimistic classification: NTP flows whose
 // average packet size exceeds the threshold.
 func IsAmplifiedNTP(r *flow.Record, cfg Config) bool {
-	cfg = cfg.withDefaults()
-	return IsNTPFlow(r) && r.AvgPacketSize() > cfg.SizeThreshold
+	return amplifiedNTP(r.Protocol, r.SrcPort, r.Bytes, r.Packets, cfg.withDefaults().SizeThreshold)
 }
 
-// IsNTPFlowCols is IsNTPFlow evaluated against row i of a columnar
-// slab — no record is materialized.
-func IsNTPFlowCols(c *flow.Columns, i int) bool {
-	return c.Proto[i] == packet.IPProtoUDP && c.SrcPort[i] == NTPPort
+// amplifiedNTP is the optimistic filter over the raw fields it reads —
+// the one predicate behind IsAmplifiedNTP and every row and columnar
+// counting entry point. threshold is the defaulted SizeThreshold.
+func amplifiedNTP(proto uint8, srcPort uint16, bytes, packets uint64, threshold float64) bool {
+	return proto == packet.IPProtoUDP && srcPort == NTPPort && avgPacketSize(bytes, packets) > threshold
 }
 
-// IsAmplifiedNTPCols is IsAmplifiedNTP over a columnar slab. It agrees
-// with the row predicate for every record (the columnar golden tests
-// pin this row-for-row).
-func IsAmplifiedNTPCols(c *flow.Columns, i int, cfg Config) bool {
-	cfg = cfg.withDefaults()
-	return IsNTPFlowCols(c, i) && c.AvgPacketSize(i) > cfg.SizeThreshold
+// avgPacketSize is flow.Record.AvgPacketSize over raw counters.
+func avgPacketSize(bytes, packets uint64) float64 {
+	if packets == 0 {
+		return 0
+	}
+	return float64(bytes) / float64(packets)
 }
 
 // Classifier accumulates flow records and produces the study's victim
@@ -92,25 +92,23 @@ func New(cfg Config) *Classifier {
 // Add feeds one record; non-NTP or non-amplified records are ignored.
 // It reports whether the record was accepted.
 func (c *Classifier) Add(r *flow.Record) bool {
-	if !IsAmplifiedNTP(r, c.cfg) {
+	if !amplifiedNTP(r.Protocol, r.SrcPort, r.Bytes, r.Packets, c.cfg.SizeThreshold) {
 		return false
 	}
 	c.perDest.Add(r)
 	return true
 }
 
-// AddCols feeds row i of a columnar slab: the optimistic pre-filter
-// runs on the columns and only accepted rows pay for materializing a
-// record (the per-destination aggregation still wants one).
+// AddCols is Add over row i of a columnar slab: the filter reads the
+// columns and an accepted row passes its fields to the per-destination
+// aggregation — no flow.Record is built.
 //
 //bsvet:hotpath
 func (c *Classifier) AddCols(cols *flow.Columns, i int) bool {
-	// c.cfg is already defaulted (New), so apply the predicate directly.
-	if !IsNTPFlowCols(cols, i) || cols.AvgPacketSize(i) <= c.cfg.SizeThreshold {
+	if !amplifiedNTP(cols.Proto[i], cols.SrcPort[i], cols.Bytes[i], cols.Packets[i], c.cfg.SizeThreshold) {
 		return false
 	}
-	r := cols.Record(i)
-	c.perDest.Add(&r)
+	c.perDest.AddFields(cols.Dst(i), cols.Start(i), cols.ScaledBytes(i), cols.ScaledPackets(i), cols.Src(i))
 	return true
 }
 
@@ -340,18 +338,33 @@ func NewAttackCounter(cfg Config) *AttackCounter {
 // Add feeds one record (applying the optimistic pre-filter) and updates
 // the hour buckets.
 func (a *AttackCounter) Add(r *flow.Record) {
-	// a.cfg is already defaulted (NewAttackCounter), so apply the
-	// amplified-NTP predicate directly instead of re-deriving defaults
-	// per record through IsAmplifiedNTP.
-	if !IsNTPFlow(r) || r.AvgPacketSize() <= a.cfg.SizeThreshold {
-		return
+	if amplifiedNTP(r.Protocol, r.SrcPort, r.Bytes, r.Packets, a.cfg.SizeThreshold) {
+		a.add(r.Dst.As16(), r.Start.Unix(), r.ScaledBytes(), r.Src.As16())
 	}
+}
+
+// AddCols is Add over row i of a columnar slab: the filter, the minute
+// truncation, and both map keys come straight from the column vectors
+// — the counter's hot path never materializes a flow.Record.
+//
+//bsvet:hotpath
+func (a *AttackCounter) AddCols(c *flow.Columns, i int) {
+	if amplifiedNTP(c.Proto[i], c.SrcPort[i], c.Bytes[i], c.Packets[i], a.cfg.SizeThreshold) {
+		a.add(c.DstAs16(i), c.StartSec[i], c.ScaledBytes(i), c.SrcAs16(i))
+	}
+}
+
+// add is the shared tail of Add/AddCols for a record that passed the
+// optimistic filter (a.cfg is defaulted by NewAttackCounter), reading
+// only the fields it needs.
+//
+//bsvet:hotpath
+func (a *AttackCounter) add(dst [16]byte, startSec int64, scaledBytes uint64, src [16]byte) {
 	// Truncate in unix-seconds arithmetic: equivalent to
 	// Start.UTC().Truncate(time.Minute) for the study's post-1970
 	// timestamps and far cheaper on the per-record path.
-	minute := r.Start.Unix()
-	minute -= minute % 60
-	key := minuteKey{dst: r.Dst.As16(), minute: minute}
+	minute := startSec - startSec%60
+	key := minuteKey{dst: dst, minute: minute}
 	w := key.dst[15] & (memoWays - 1)
 	agg := a.lastAggs[w]
 	if agg == nil || key != a.lastKeys[w] {
@@ -375,60 +388,8 @@ func (a *AttackCounter) Add(r *flow.Record) {
 	if agg.counted {
 		return
 	}
-	agg.bytes += r.ScaledBytes()
-	agg.addSource(r.Src.As16())
-
-	rate := float64(agg.bytes) * 8 / 60
-	if rate > a.cfg.MinRateBps && agg.numSources() > a.cfg.MinSources {
-		hour := minute - minute%3600
-		set, ok := a.hours[hour]
-		if !ok {
-			set = make(map[[16]byte]struct{})
-			a.hours[hour] = set
-		}
-		set[key.dst] = struct{}{}
-		agg.counted = true
-		// Frozen bins never read their source set again (Merge visits
-		// an empty set); dropping it here releases the per-minute
-		// spoofed-source sets — by far the counter's largest live
-		// memory — as soon as they stop mattering.
-		agg.dropSources()
-	}
-}
-
-// AddCols is Add over row i of a columnar slab: the filter, the minute
-// truncation, and both map keys come straight from the column vectors
-// — the counter's hot path never materializes a flow.Record.
-//
-//bsvet:hotpath
-func (a *AttackCounter) AddCols(c *flow.Columns, i int) {
-	if !IsNTPFlowCols(c, i) || c.AvgPacketSize(i) <= a.cfg.SizeThreshold {
-		return
-	}
-	minute := c.StartSec[i]
-	minute -= minute % 60
-	key := minuteKey{dst: c.DstAs16(i), minute: minute}
-	w := key.dst[15] & (memoWays - 1)
-	agg := a.lastAggs[w]
-	if agg == nil || key != a.lastKeys[w] {
-		var ok bool
-		agg, ok = a.minutes[key]
-		if !ok {
-			if len(a.arena) == 0 {
-				a.arena = make([]minuteAgg, 256)
-			}
-			agg = &a.arena[0]
-			a.arena = a.arena[1:]
-			a.minutes[key] = agg
-		}
-		a.lastKeys[w], a.lastAggs[w] = key, agg
-	}
-	// Frozen-bin fast path — see Add for why this is exact.
-	if agg.counted {
-		return
-	}
-	agg.bytes += c.ScaledBytes(i)
-	agg.addSource(c.SrcAs16(i))
+	agg.bytes += scaledBytes
+	agg.addSource(src)
 
 	rate := float64(agg.bytes) * 8 / 60
 	if rate > a.cfg.MinRateBps && agg.numSources() > a.cfg.MinSources {

@@ -218,36 +218,23 @@ var reflectionProtocols = map[uint16]string{
 	19:      "chargen",
 }
 
-// detectProtocol labels an amplification-shaped record (UDP from a
-// well-known reflection port with amplified payload sizes) or returns
-// "" for records that look benign.
-func (m *Monitor) detectProtocol(r *flow.Record) string {
-	if r.Protocol != packet.IPProtoUDP {
-		return ""
+// admit is the monitor's one scalar filter, shared by Add and
+// AddColsAt: it counts the record, labels an amplification-shaped one
+// (UDP from a well-known reflection port with an average packet size
+// above the threshold) in the per-protocol detection counter, and
+// reports whether it passes the optimistic amplified-NTP filter — the
+// NTP subset of the same shape.
+func (m *Monitor) admit(proto uint8, srcPort uint16, bytes, packets uint64) bool {
+	m.m.records.Inc()
+	if proto != packet.IPProtoUDP {
+		return false
 	}
-	proto, ok := reflectionProtocols[r.SrcPort]
-	if !ok {
-		return ""
+	label, ok := reflectionProtocols[srcPort]
+	if !ok || avgPacketSize(bytes, packets) <= m.cfg.SizeThreshold {
+		return false
 	}
-	if r.AvgPacketSize() <= m.cfg.SizeThreshold {
-		return ""
-	}
-	return proto
-}
-
-// detectProtocolCols is detectProtocol over row i of a columnar slab.
-func (m *Monitor) detectProtocolCols(c *flow.Columns, i int) string {
-	if c.Proto[i] != packet.IPProtoUDP {
-		return ""
-	}
-	proto, ok := reflectionProtocols[c.SrcPort[i]]
-	if !ok {
-		return ""
-	}
-	if c.AvgPacketSize(i) <= m.cfg.SizeThreshold {
-		return ""
-	}
-	return proto
+	m.m.detections.With(label).Inc()
+	return srcPort == NTPPort
 }
 
 func (m *Monitor) maxMinutes() int {
@@ -265,9 +252,15 @@ func (m *Monitor) maxSourcesPerBin() int {
 }
 
 // Add consumes one record and returns an alert if its victim just
-// crossed the thresholds (nil otherwise).
+// crossed the thresholds (nil otherwise). The record is its own
+// watermark: a serial monitor's clock is the latest start time it has
+// matched.
 func (m *Monitor) Add(r *flow.Record) *Alert {
-	return m.AddAt(r, r.Start.Unix())
+	if !m.admit(r.Protocol, r.SrcPort, r.Bytes, r.Packets) {
+		return nil
+	}
+	start := r.Start.Unix()
+	return m.addMatched(r.Dst, start, r.ScaledBytes(), r.Src, start)
 }
 
 // AdvanceTo moves the eviction clock to the minute containing unixSec
@@ -282,53 +275,36 @@ func (m *Monitor) AdvanceTo(unixSec int64) {
 	}
 }
 
-// AddAt consumes one record with an explicit clock: watermarkUnix is
-// the maximum start time (unix seconds) over every filter-matched
-// record the whole stream has produced so far. In serial use the
-// record is its own watermark (Add); a sharded run stamps the global
-// prefix-max instead, which makes each shard advance, evict, and prune
-// at exactly the points the serial monitor would have.
-func (m *Monitor) AddAt(r *flow.Record, watermarkUnix int64) *Alert {
-	m.m.records.Inc()
-	if proto := m.detectProtocol(r); proto != "" {
-		m.m.detections.With(proto).Inc()
-	}
-	if !IsAmplifiedNTP(r, m.cfg) {
-		return nil
-	}
-	return m.addMatched(r, watermarkUnix)
-}
-
-// AddColsAt is AddAt over row i of a columnar slab: the counting-path
-// filters (per-protocol detection and the optimistic amplified-NTP
-// gate) read the column vectors directly, so the overwhelming majority
-// of records — those the filter rejects — never materialize. Only
-// matched records are built into a flow.Record for the shared binning
-// and alerting logic.
+// AddColsAt consumes row i of a columnar slab with an explicit clock:
+// watermarkUnix is the maximum start time (unix seconds) over every
+// filter-matched record the whole stream has produced so far. A
+// sharded run stamps that global prefix-max on every row, which makes
+// each shard advance, evict, and prune at exactly the points the
+// serial monitor would have. The filter reads the columns and a
+// matched row passes its fields to the shared tail — no flow.Record is
+// built.
 func (m *Monitor) AddColsAt(c *flow.Columns, i int, watermarkUnix int64) *Alert {
-	m.m.records.Inc()
-	if proto := m.detectProtocolCols(c, i); proto != "" {
-		m.m.detections.With(proto).Inc()
-	}
-	if !IsAmplifiedNTPCols(c, i, m.cfg) {
+	if !m.admit(c.Proto[i], c.SrcPort[i], c.Bytes[i], c.Packets[i]) {
 		return nil
 	}
-	r := c.Record(i)
-	return m.addMatched(&r, watermarkUnix)
+	return m.addMatched(c.Dst(i), c.StartSec[i], c.ScaledBytes(i), c.Src(i), watermarkUnix)
 }
 
-// addMatched is the shared tail of AddAt/AddColsAt for records that
-// passed the optimistic filter: clock advance, bin aggregation,
-// threshold check, and alert/re-alert bookkeeping.
-func (m *Monitor) addMatched(r *flow.Record, watermarkUnix int64) *Alert {
+// addMatched is the shared tail of Add/AddColsAt for records that
+// passed the optimistic filter, reading only the fields it needs:
+// clock advance, bin aggregation, threshold check, and alert/re-alert
+// bookkeeping.
+func (m *Monitor) addMatched(dst netip.Addr, startSec int64, scaledBytes uint64, src netip.Addr, watermarkUnix int64) *Alert {
 	m.m.matched.Inc()
-	minute := r.Start.UTC().Truncate(time.Minute)
+	// Floor to the minute (pre-1970 seconds round down too), exactly
+	// as time.Truncate(time.Minute) bins the start time.
+	minute := time.Unix(startSec-((startSec%60)+60)%60, 0).UTC()
 	m.AdvanceTo(watermarkUnix)
 	// Open (or extend) the victim's attack after the clock advance so
 	// eviction of a previous attack is observed first — the same order
 	// the serial and sharded monitors both see.
-	st := m.openAttack(r.Dst, minute.Unix())
-	key := minuteKey{dst: r.Dst.As16(), minute: minute.Unix()}
+	st := m.openAttack(dst, minute.Unix())
+	key := minuteKey{dst: dst.As16(), minute: minute.Unix()}
 	agg, ok := m.minutes[key]
 	if !ok {
 		if len(m.minutes) >= m.maxMinutes() {
@@ -344,8 +320,8 @@ func (m *Monitor) addMatched(r *flow.Record, watermarkUnix int64) *Alert {
 		m.minutes[key] = agg
 		m.m.occupancy.Add(1)
 	}
-	agg.bytes += r.ScaledBytes()
-	if !agg.sources.Add(r.Src) {
+	agg.bytes += scaledBytes
+	if !agg.sources.Add(src) {
 		m.m.overflows.Inc()
 	}
 
@@ -365,25 +341,25 @@ func (m *Monitor) addMatched(r *flow.Record, watermarkUnix int64) *Alert {
 	if !agg.crossed {
 		agg.crossed = true
 		m.events().Emit("classify", "classify_threshold_crossed", st.id,
-			eventlog.A("victim", r.Dst.String()),
+			eventlog.A("victim", dst.String()),
 			eventlog.AInt("minute_unix", minute.Unix()),
 			eventlog.AFloat("gbps", rate/1e9),
 			eventlog.AInt("sources", int64(agg.sources.Len())))
 	}
-	if last, ok := m.alerted[r.Dst]; ok && minute.Sub(last) < m.ReAlertAfter {
+	if last, ok := m.alerted[dst]; ok && minute.Sub(last) < m.ReAlertAfter {
 		return nil
 	}
-	m.alerted[r.Dst] = minute
+	m.alerted[dst] = minute
 	st.alerts++
 	m.m.alerts.Inc()
 	m.events().Emit("classify", "classify_alert_raised", st.id,
-		eventlog.A("victim", r.Dst.String()),
+		eventlog.A("victim", dst.String()),
 		eventlog.AFloat("gbps", rate/1e9),
 		eventlog.AInt("sources", int64(agg.sources.Len())),
 		eventlog.AUint("bytes", agg.bytes))
 	return &Alert{
 		ID:      st.id,
-		Victim:  r.Dst,
+		Victim:  dst,
 		Minute:  minute,
 		Gbps:    rate / 1e9,
 		Sources: agg.sources.Len(),

@@ -48,6 +48,24 @@ func TestMonitorAlertsOnce(t *testing.T) {
 	}
 }
 
+// TestMonitorMinuteBinsMatchTruncate: the monitor bins a record into
+// the minute time.Truncate gives its start time, on both sides of the
+// unix epoch, where integer division truncates toward zero instead.
+func TestMonitorMinuteBinsMatchTruncate(t *testing.T) {
+	for _, at := range []time.Time{
+		t0.Add(42*time.Second + 5*time.Millisecond),
+		time.Date(1969, 12, 31, 23, 58, 17, 0, time.UTC),
+	} {
+		alerts := feedAttack(NewMonitor(Config{}), "203.0.113.30", 100, 3, at)
+		if len(alerts) != 1 {
+			t.Fatalf("%v: alerts = %d, want 1", at, len(alerts))
+		}
+		if want := at.Truncate(time.Minute); alerts[0].Minute != want {
+			t.Errorf("%v: alert minute %v, want %v", at, alerts[0].Minute, want)
+		}
+	}
+}
+
 func TestMonitorReAlertsAfterWindow(t *testing.T) {
 	m := NewMonitor(Config{})
 	m.ReAlertAfter = 5 * time.Minute

@@ -11,7 +11,7 @@ import (
 
 // ShardedMonitor runs one Monitor per pipeline shard and merges their
 // output back into the serial monitor's results. Records must be
-// routed by destination hash (pipe.KeyDst) so each victim's state
+// routed by destination hash (pipe.KeyDstCols) so each victim's state
 // lives on exactly one shard, and the driving fan-out must stamp
 // watermarks filtered by MarkFilter — FanOut() builds a correctly
 // configured one. Under those conditions the sharded run reproduces
@@ -106,27 +106,20 @@ func (s *ShardedMonitor) Stages() []pipe.Stage {
 // MarkFilter is the watermark predicate matching the serial monitor's
 // clock: Add only advances `latest` on records passing the optimistic
 // amplified-NTP filter, so the stamped prefix-max must run over
-// exactly those records. The predicate reads the live config so a
+// exactly those rows. The predicate reads the live config so a
 // SetConfig reload (run under the fan-out barrier, which serializes
 // with routing) changes the filter too.
-func (s *ShardedMonitor) MarkFilter() func(*flow.Record) bool {
-	return func(r *flow.Record) bool { return IsAmplifiedNTP(r, s.cfg) }
-}
-
-// ColMarkFilter is MarkFilter evaluated directly against a columnar
-// slab — the columnar routing path's watermark predicate.
-func (s *ShardedMonitor) ColMarkFilter() func(*flow.Columns, int) bool {
-	return func(c *flow.Columns, i int) bool { return IsAmplifiedNTPCols(c, i, s.cfg) }
+func (s *ShardedMonitor) MarkFilter() func(*flow.Columns, int) bool {
+	return func(c *flow.Columns, i int) bool {
+		return amplifiedNTP(c.Proto[i], c.SrcPort[i], c.Bytes[i], c.Packets[i], s.cfg.SizeThreshold)
+	}
 }
 
 // FanOut builds the fan-out stage that drives this monitor: victim
 // hash routing, the monitor's watermark filter, one worker per shard.
-// Columnar batches route and stamp column-wise end to end.
 func (s *ShardedMonitor) FanOut() *pipe.FanOut {
-	f := pipe.NewFanOut(pipe.KeyDst, s.Stages()...)
+	f := pipe.NewFanOut(pipe.KeyDstCols, s.Stages()...)
 	f.SetMarkFilter(s.MarkFilter())
-	f.SetColKey(pipe.KeyDstCols)
-	f.SetColMarkFilter(s.ColMarkFilter())
 	return f
 }
 
@@ -197,29 +190,17 @@ type monitorShard struct {
 	alerts []seqAlert
 }
 
-// Process feeds the batch to the shard monitor, using the stamped
-// watermarks (falling back to each record's own start time when the
-// batch was not routed through a fan-out). Columnar batches stay
-// columnar: the monitor's counting path reads the columns directly and
-// only filter-matched records are ever materialized.
+// Process feeds the fan-out's columnar batch to the shard monitor,
+// using the stamped watermarks (falling back to each row's own start
+// time when the fan-out stamps none).
 func (s *monitorShard) Process(b *pipe.Batch) error {
-	if b.Cols != nil {
-		c := b.Cols
-		for i, n := 0, c.Len(); i < n; i++ {
-			mark := c.StartSec[i]
-			if i < len(b.Marks) {
-				mark = b.Marks[i]
-			}
-			s.emit(s.mon.AddColsAt(c, i, mark), b, i)
-		}
-		return nil
-	}
-	for i := range b.Recs {
-		mark := b.Recs[i].Start.Unix()
+	c := b.Cols
+	for i, n := 0, c.Len(); i < n; i++ {
+		mark := c.StartSec[i]
 		if i < len(b.Marks) {
 			mark = b.Marks[i]
 		}
-		s.emit(s.mon.AddAt(&b.Recs[i], mark), b, i)
+		s.emit(s.mon.AddColsAt(c, i, mark), b, i)
 	}
 	return nil
 }

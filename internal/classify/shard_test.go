@@ -151,7 +151,7 @@ func TestAttackCounterMergeMatchesSerial(t *testing.T) {
 			parts[i] = NewAttackCounter(cfg)
 		}
 		for i := range recs {
-			parts[pipe.KeyDst(&recs[i])%uint64(shards)].Add(&recs[i])
+			parts[pipe.KeyDstAddr(recs[i].Dst.As16())%uint64(shards)].Add(&recs[i])
 		}
 		merged := NewAttackCounter(cfg)
 		for _, p := range parts {
@@ -173,7 +173,7 @@ func TestClassifierMergeMatchesSerial(t *testing.T) {
 	}
 	parts := []*Classifier{New(cfg), New(cfg), New(cfg)}
 	for i := range recs {
-		parts[pipe.KeyDst(&recs[i])%3].Add(&recs[i])
+		parts[pipe.KeyDstAddr(recs[i].Dst.As16())%3].Add(&recs[i])
 	}
 	merged := New(cfg)
 	for _, p := range parts {

@@ -48,19 +48,6 @@ func (l *LandscapeStudy) source(k trafficgen.Kind) takedown.Source {
 	}
 }
 
-// runSharded drives src through par victim-hashed shard stages built
-// by mk — the core-side twin of the takedown package's pipeline driver.
-func runSharded(src takedown.Source, par int, mk func() pipe.Stage) error {
-	if par < 1 {
-		par = 1
-	}
-	stages := make([]pipe.Stage, par)
-	for i := range stages {
-		stages[i] = mk()
-	}
-	return pipe.RunShardedCols(pipe.Source(src), pipe.KeyDst, pipe.KeyDstCols, stages...)
-}
-
 // PacketSizeDistribution is the Figure 2(a) data: the NTP packet size
 // histogram at the IXP with its below-200-byte share.
 type PacketSizeDistribution struct {
@@ -90,25 +77,13 @@ func newHistStage(into *stats.Histogram) *histStage {
 
 // Process implements pipe.Stage.
 func (s *histStage) Process(b *pipe.Batch) error {
-	if c := b.Cols; c != nil {
-		for i, n := 0, c.Len(); i < n; i++ {
-			if c.SrcPort[i] != classify.NTPPort && c.DstPort[i] != classify.NTPPort {
-				continue
-			}
-			size := c.AvgPacketSize(i)
-			for p := uint64(0); p < c.ScaledPackets(i); p += 10000 {
-				s.h.Add(size)
-			}
-		}
-		return nil
-	}
-	for i := range b.Recs {
-		rec := &b.Recs[i]
-		if rec.SrcPort != classify.NTPPort && rec.DstPort != classify.NTPPort {
+	c := b.Cols
+	for i, n := 0, c.Len(); i < n; i++ {
+		if c.SrcPort[i] != classify.NTPPort && c.DstPort[i] != classify.NTPPort {
 			continue
 		}
-		size := rec.AvgPacketSize()
-		for p := uint64(0); p < rec.ScaledPackets(); p += 10000 {
+		size := c.AvgPacketSize(i)
+		for p := uint64(0); p < c.ScaledPackets(i); p += 10000 {
 			// Add in sampled strides to bound cost; the histogram
 			// is a distribution, absolute counts do not matter.
 			s.h.Add(size)
@@ -129,7 +104,7 @@ func (s *histStage) Close() error {
 // of record order and shard count.
 func figure2aSource(src takedown.Source, par int) (*PacketSizeDistribution, error) {
 	h := stats.NewHistogram(0, 1500, 75) // 20-byte bins
-	err := runSharded(src, par, func() pipe.Stage { return newHistStage(h) })
+	err := takedown.RunSharded(src, par, func() pipe.Stage { return newHistStage(h) })
 	if err != nil {
 		return nil, err
 	}
@@ -181,17 +156,11 @@ func newClassifyStage(into *classify.Classifier) *classifyStage {
 	return &classifyStage{into: into, c: classify.New(classify.Config{})}
 }
 
-// Process implements pipe.Stage. Columnar batches run the classifier
-// filter on the columns and materialize only the records that pass.
+// Process implements pipe.Stage.
 func (s *classifyStage) Process(b *pipe.Batch) error {
-	if cols := b.Cols; cols != nil {
-		for i, n := 0, cols.Len(); i < n; i++ {
-			s.c.AddCols(cols, i)
-		}
-		return nil
-	}
-	for i := range b.Recs {
-		s.c.Add(&b.Recs[i])
+	cols := b.Cols
+	for i, n := 0, cols.Len(); i < n; i++ {
+		s.c.AddCols(cols, i)
 	}
 	return nil
 }
@@ -208,7 +177,7 @@ func (s *classifyStage) Close() error {
 // order over the same record multiset yields identical results.
 func figure2bcSource(src takedown.Source, k trafficgen.Kind, par int) (*VantageVictims, error) {
 	c := classify.New(classify.Config{})
-	if err := runSharded(src, par, func() pipe.Stage { return newClassifyStage(c) }); err != nil {
+	if err := takedown.RunSharded(src, par, func() pipe.Stage { return newClassifyStage(c) }); err != nil {
 		return nil, err
 	}
 	victims := c.Victims()

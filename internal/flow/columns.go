@@ -149,8 +149,8 @@ func (c *Columns) Resize(n int) {
 	c.Sampling = resizeU32(c.Sampling, n)
 }
 
-// AppendRecord appends one materialized record as a row.
-func (c *Columns) AppendRecord(r *Record) {
+// recordFlags returns r's per-row Flag* bits.
+func recordFlags(r *Record) uint8 {
 	var flags uint8
 	if r.Src.IsValid() {
 		flags |= FlagSrcValid
@@ -167,6 +167,12 @@ func (c *Columns) AppendRecord(r *Record) {
 	if r.Direction == Egress {
 		flags |= FlagEgress
 	}
+	return flags
+}
+
+// AppendRecord appends one materialized record as a row.
+func (c *Columns) AppendRecord(r *Record) {
+	flags := recordFlags(r)
 	shi, slo := AddrHalves(r.Src)
 	dhi, dlo := AddrHalves(r.Dst)
 	c.Flags = append(c.Flags, flags)
@@ -181,6 +187,30 @@ func (c *Columns) AppendRecord(r *Record) {
 	c.EndNs = append(c.EndNs, uint32(r.End.Nanosecond()))
 	c.SrcAS, c.DstAS = append(c.SrcAS, r.SrcAS), append(c.DstAS, r.DstAS)
 	c.Sampling = append(c.Sampling, r.SamplingRate)
+}
+
+// SetRecords replaces c's rows with recs, reusing capacity — the
+// fan-out's row gather. It sizes every column once and writes rows by
+// index, which costs about half of one AppendRecord call per record.
+func (c *Columns) SetRecords(recs []Record) {
+	n := len(recs)
+	c.Resize(n)
+	flags, srcHi, srcLo, dstHi, dstLo := c.Flags[:n], c.SrcHi[:n], c.SrcLo[:n], c.DstHi[:n], c.DstLo[:n]
+	srcPort, dstPort, proto := c.SrcPort[:n], c.DstPort[:n], c.Proto[:n]
+	packets, bytes, sampling := c.Packets[:n], c.Bytes[:n], c.Sampling[:n]
+	startSec, startNs, endSec, endNs := c.StartSec[:n], c.StartNs[:n], c.EndSec[:n], c.EndNs[:n]
+	srcAS, dstAS := c.SrcAS[:n], c.DstAS[:n]
+	for i := range recs {
+		r := &recs[i]
+		flags[i] = recordFlags(r)
+		srcHi[i], srcLo[i] = AddrHalves(r.Src)
+		dstHi[i], dstLo[i] = AddrHalves(r.Dst)
+		srcPort[i], dstPort[i], proto[i] = r.SrcPort, r.DstPort, r.Protocol
+		packets[i], bytes[i], sampling[i] = r.Packets, r.Bytes, r.SamplingRate
+		startSec[i], startNs[i] = r.Start.Unix(), uint32(r.Start.Nanosecond())
+		endSec[i], endNs[i] = r.End.Unix(), uint32(r.End.Nanosecond())
+		srcAS[i], dstAS[i] = r.SrcAS, r.DstAS
+	}
 }
 
 // AppendFrom appends row i of o.

@@ -277,11 +277,17 @@ func NewPerDestMinutes() *PerDestMinutes {
 // Add merges a record into its destination's minute bin. Sampled counters
 // are scaled up.
 func (p *PerDestMinutes) Add(rec *Record) {
-	minute := rec.Start.Truncate(time.Minute)
-	m, ok := p.bins[rec.Dst]
+	p.AddFields(rec.Dst, rec.Start, rec.ScaledBytes(), rec.ScaledPackets(), rec.Src)
+}
+
+// AddFields is Add over the fields it reads, with the counters already
+// scaled — columnar consumers feed it without building a Record.
+func (p *PerDestMinutes) AddFields(dst netip.Addr, start time.Time, scaledBytes, scaledPackets uint64, src netip.Addr) {
+	minute := start.Truncate(time.Minute)
+	m, ok := p.bins[dst]
 	if !ok {
 		m = make(map[int64]*MinuteBin)
-		p.bins[rec.Dst] = m
+		p.bins[dst] = m
 	}
 	key := minute.Unix()
 	bin, ok := m[key]
@@ -289,9 +295,9 @@ func (p *PerDestMinutes) Add(rec *Record) {
 		bin = &MinuteBin{Minute: minute, Sources: make(map[netip.Addr]struct{})}
 		m[key] = bin
 	}
-	bin.Bytes += rec.ScaledBytes()
-	bin.Packets += rec.ScaledPackets()
-	bin.Sources[rec.Src] = struct{}{}
+	bin.Bytes += scaledBytes
+	bin.Packets += scaledPackets
+	bin.Sources[src] = struct{}{}
 }
 
 // Merge folds other into p, adopting other's bins where p has none.

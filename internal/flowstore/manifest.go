@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"booterscope/internal/durable"
 )
 
 // manifestName is the manifest file at the store root.
@@ -48,10 +50,12 @@ type manifest struct {
 	Segments     []SegmentEntry    `json:"segments"`
 }
 
-// save writes the manifest atomically: a temp file written and fsynced
-// through one descriptor, renamed over the manifest, then the directory
-// fsynced so the rename itself survives a crash. noSync (Options.NoSync)
-// skips both fsyncs. Every step's error is returned.
+// save publishes the manifest atomically through durable.File: a temp
+// file written and fsynced through one descriptor, renamed over the
+// manifest, then the directory fsynced so the rename itself survives a
+// crash. noSync (Options.NoSync) skips both fsyncs. No failpoint is
+// passed, so the store's WriteFault numbering covers block writes
+// only. Every step's error is returned.
 func (m *manifest) save(dir string, noSync bool) error {
 	sort.Slice(m.Segments, func(i, j int) bool {
 		a, b := m.Segments[i], m.Segments[j]
@@ -67,45 +71,12 @@ func (m *manifest) save(dir string, noSync bool) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := writeSynced(tmp, append(b, '\n'), noSync); err != nil {
-		return fmt.Errorf("flowstore: writing manifest: %w", err)
+	path := filepath.Join(dir, manifestName)
+	f := durable.File{Path: path, Tmp: path + ".tmp", Label: "manifest", NoSync: noSync}
+	if err := f.Publish(append(b, '\n')); err != nil {
+		return fmt.Errorf("flowstore: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return fmt.Errorf("flowstore: publishing manifest: %w", err)
-	}
-	if noSync {
-		return nil
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("flowstore: syncing manifest directory: %w", err)
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return fmt.Errorf("flowstore: syncing manifest directory: %w", err)
-	}
-	return d.Close()
-}
-
-// writeSynced writes data to path through one write-only descriptor,
-// fsyncing it before close unless noSync.
-func writeSynced(path string, data []byte, noSync bool) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if !noSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
+	return nil
 }
 
 // loadManifest reads the manifest; a missing file returns (nil, nil).

@@ -19,7 +19,7 @@ func (s *slowCountStage) Process(b *Batch) error {
 	if s.delay > 0 {
 		time.Sleep(s.delay)
 	}
-	s.count += len(b.Recs)
+	s.count += b.Len()
 	return nil
 }
 
@@ -41,7 +41,7 @@ func TestBarrierQuiescesAllShards(t *testing.T) {
 	for i, s := range shards {
 		stages[i] = s
 	}
-	f := NewFanOut(KeyDst, stages...)
+	f := NewFanOut(KeyDstCols, stages...)
 
 	routed := 0
 	for round := 0; round < 3; round++ {
@@ -84,7 +84,7 @@ func TestBarrierQuiescesAllShards(t *testing.T) {
 func TestBarrierPropagatesCallbackError(t *testing.T) {
 	t0 := time.Date(2018, 12, 1, 0, 0, 0, 0, time.UTC)
 	shards := []*slowCountStage{{}, {}}
-	f := NewFanOut(KeyDst, shards[0], shards[1])
+	f := NewFanOut(KeyDstCols, shards[0], shards[1])
 	boom := errors.New("boom")
 	if err := f.Barrier(func() error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("Barrier error = %v, want %v", err, boom)
@@ -109,8 +109,8 @@ func TestBarrierPropagatesCallbackError(t *testing.T) {
 func TestResumeRestoresPipelinePosition(t *testing.T) {
 	t0 := time.Date(2018, 12, 1, 0, 0, 0, 0, time.UTC)
 	c := &collectStage{}
-	f := NewFanOut(KeyDst, c)
-	f.SetMarkFilter(func(r *flow.Record) bool { return true })
+	f := NewFanOut(KeyDstCols, c)
+	f.SetMarkFilter(func(*flow.Columns, int) bool { return true })
 	f.Resume(t0.Unix(), 42)
 	if got := f.Seq(); got != 42 {
 		t.Fatalf("Seq after Resume = %d, want 42", got)

@@ -2,6 +2,10 @@ package pipe
 
 import (
 	"fmt"
+	"net/netip"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -73,68 +77,121 @@ func TestColsBatchLazyMaterialization(t *testing.T) {
 	}
 }
 
-// TestFanOutColumnarMatchesRowRouting is the pipe-level differential:
-// the same records as row batches and as columnar batches must route
-// to identical shards with identical watermark stamps and global
-// sequence order.
+// colsCollectStage keeps every row, mark and sequence number it is
+// handed, column-wise; it fails on a batch that is not columnar.
+type colsCollectStage struct {
+	cols  flow.Columns
+	marks []int64
+	seqs  []uint64
+}
+
+func (c *colsCollectStage) Process(b *Batch) error {
+	if b.Cols == nil || len(b.Recs) != 0 {
+		return fmt.Errorf("shard stage got a row batch (%d records)", len(b.Recs))
+	}
+	c.cols.AppendRange(b.Cols, 0, b.Cols.Len())
+	c.marks = append(c.marks, b.Marks...)
+	c.seqs = append(c.seqs, b.Seqs...)
+	return nil
+}
+
+func (c *colsCollectStage) Close() error { return nil }
+
+// TestFanOutColumnarMatchesRowRouting is the pipe-level differential
+// for the fan-out's row door: the same records as row batches and as
+// columnar batches must give every shard identical columns, watermark
+// stamps and sequence numbers, and the fan-out the same final
+// watermark. The records cover every address shape the gather encodes
+// (IPv4, IPv6, invalid) plus egress rows and sampling rates, and the
+// mark filter is selective so stamping is exercised too.
 func TestFanOutColumnarMatchesRowRouting(t *testing.T) {
 	recs := make([]flow.Record, 3000)
 	for i := range recs {
-		recs[i] = testRec(i, t0.Add(time.Duration(i%97)*time.Second))
+		recs[i] = testRec(i, t0.Add(time.Duration(i%97)*time.Second+time.Duration(i)*time.Millisecond))
+		switch {
+		case i%11 == 0:
+			recs[i].Dst = netip.MustParseAddr(fmt.Sprintf("2001:db8::%x", i%5))
+		case i%17 == 0:
+			recs[i].Src = netip.Addr{}
+		}
+		if i%3 == 0 {
+			recs[i].Direction = flow.Egress
+			recs[i].SamplingRate = uint32(1 + i%64)
+		}
 	}
-	run := func(src Source) []*collectStage {
-		shards := []*collectStage{{}, {}, {}}
+	run := func(src Source) ([]*colsCollectStage, int64) {
+		shards := []*colsCollectStage{{}, {}, {}}
 		stages := make([]Stage, len(shards))
 		for i, s := range shards {
 			stages[i] = s
 		}
-		f := NewFanOut(KeyDst, stages...)
-		f.SetMarkFilter(func(*flow.Record) bool { return true })
-		f.SetColKey(KeyDstCols)
-		f.SetColMarkFilter(func(*flow.Columns, int) bool { return true })
+		f := NewFanOut(KeyDstCols, stages...)
+		f.SetMarkFilter(func(c *flow.Columns, i int) bool { return c.DstPort[i]%2 == 0 })
 		if err := Run(src, f); err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		return shards
+		return shards, f.Watermark()
 	}
-	row := run(sliceSource(recs, 256))
-	col := run(colsSource(recs, 256))
+	row, rowMark := run(sliceSource(recs, 256))
+	col, colMark := run(colsSource(recs, 256))
+	if rowMark != colMark {
+		t.Fatalf("final watermark: row %d, columnar %d", rowMark, colMark)
+	}
+	total := 0
 	for si := range row {
 		r, c := row[si], col[si]
-		if len(r.dsts) != len(c.dsts) {
-			t.Fatalf("shard %d: row path saw %d records, columnar %d", si, len(r.dsts), len(c.dsts))
+		total += r.cols.Len()
+		if !reflect.DeepEqual(r.cols, c.cols) {
+			t.Fatalf("shard %d: row-door columns differ from columnar routing", si)
 		}
-		for i := range r.dsts {
-			if r.dsts[i] != c.dsts[i] {
-				t.Fatalf("shard %d record %d: dst %v vs %v", si, i, r.dsts[i], c.dsts[i])
-			}
-			if r.marks[i] != c.marks[i] {
-				t.Fatalf("shard %d record %d: mark %d vs %d", si, i, r.marks[i], c.marks[i])
-			}
-			if r.seqs[i] != c.seqs[i] {
-				t.Fatalf("shard %d record %d: seq %d vs %d", si, i, r.seqs[i], c.seqs[i])
-			}
+		if !slices.Equal(r.marks, c.marks) || !slices.Equal(r.seqs, c.seqs) {
+			t.Fatalf("shard %d: marks or seqs differ", si)
 		}
+		if len(r.marks) != r.cols.Len() || len(r.seqs) != r.cols.Len() {
+			t.Fatalf("shard %d: %d rows but %d marks, %d seqs", si, r.cols.Len(), len(r.marks), len(r.seqs))
+		}
+	}
+	if total != len(recs) {
+		t.Fatalf("shards saw %d records, want %d", total, len(recs))
 	}
 }
 
-// TestFanOutColumnarFallback: a columnar batch fed to a fan-out with
-// no columnar key must still deliver every record (materialized via
-// the row path) — unported callers lose speed, never records.
-func TestFanOutColumnarFallback(t *testing.T) {
-	recs := make([]flow.Record, 800)
+// TestFanOutRowDoorAllocatesNothing pins the door gather's steady
+// state: once the door and shard slabs have grown, routing a 50-record
+// row batch allocates nothing. The multi-shard case runs inline (one
+// P), so the count covers the whole route-and-process path.
+func TestFanOutRowDoorAllocatesNothing(t *testing.T) {
+	recs := make([]flow.Record, 50)
 	for i := range recs {
 		recs[i] = testRec(i, t0.Add(time.Duration(i)*time.Second))
 	}
-	shards := []*collectStage{{}, {}}
-	f := NewFanOut(KeyDst, shards[0], shards[1])
-	// Row key only: columnar batches must fall back to materialization.
-	if err := Run(colsSource(recs, 128), f); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	total := len(shards[0].dsts) + len(shards[1].dsts)
-	if total != len(recs) {
-		t.Fatalf("fallback delivered %d records, want %d", total, len(recs))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, shards := range []int{1, 4} {
+		stages := make([]Stage, shards)
+		for i := range stages {
+			stages[i] = StageFunc{}
+		}
+		f := NewFanOut(KeyDstCols, stages...)
+		f.SetMarkFilter(func(*flow.Columns, int) bool { return true })
+		b := &Batch{Recs: recs}
+		// Warm up past a few flushes of every shard slab.
+		for i := 0; i < 4*DefaultBatchSize; i += len(recs) {
+			if err := f.Process(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(500, func() {
+			if err := f.Process(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("shards=%d: Process of a %d-record row batch allocates %.2f times per call, want 0",
+				shards, len(recs), allocs)
+		}
 	}
 }
 
@@ -156,35 +213,35 @@ func (c *collectColsStage) Process(b *Batch) error {
 
 func (c *collectColsStage) Close() error { return nil }
 
-// TestFanOutColumnarStaysColumnar: with columnar routing configured and
-// a columnar source, shard stages must receive columnar batches — the
-// fan-out must not silently materialize.
+// TestFanOutColumnarStaysColumnar: whatever shape the source emits,
+// shard stages must receive columnar batches only — row batches are
+// gathered at the door, columnar ones are never materialized.
 func TestFanOutColumnarStaysColumnar(t *testing.T) {
 	recs := make([]flow.Record, 1200)
 	for i := range recs {
 		recs[i] = testRec(i, t0.Add(time.Duration(i)*time.Second))
 	}
-	shards := []*collectColsStage{{}, {}}
-	f := NewFanOut(KeyDst, shards[0], shards[1])
-	f.SetColKey(KeyDstCols)
-	if err := Run(colsSource(recs, 256), f); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	var colTotal, rowTotal int
-	for _, s := range shards {
-		colTotal += s.colRecords
-		rowTotal += s.rowRecords
-	}
-	if rowTotal != 0 || colTotal != len(recs) {
-		t.Fatalf("columnar routing materialized: %d columnar, %d row, want %d columnar only",
-			colTotal, rowTotal, len(recs))
+	for name, src := range map[string]Source{"columnar": colsSource(recs, 256), "row": sliceSource(recs, 256)} {
+		shards := []*collectColsStage{{}, {}}
+		f := NewFanOut(KeyDstCols, shards[0], shards[1])
+		if err := Run(src, f); err != nil {
+			t.Fatalf("%s source: run: %v", name, err)
+		}
+		var colTotal, rowTotal int
+		for _, s := range shards {
+			colTotal += s.colRecords
+			rowTotal += s.rowRecords
+		}
+		if rowTotal != 0 || colTotal != len(recs) {
+			t.Fatalf("%s source: stages saw %d columnar, %d row records, want %d columnar only",
+				name, colTotal, rowTotal, len(recs))
+		}
 	}
 }
 
 // TestFanOutMixedShapes: alternating row and columnar batches through
-// one fan-out must deliver every record exactly once — the pending
-// slab's shape is fixed by its first append and cross-shape appends
-// convert per record.
+// one fan-out must deliver every record exactly once — row batches are
+// gathered at the door into the same columnar shard slabs.
 func TestFanOutMixedShapes(t *testing.T) {
 	recs := make([]flow.Record, 2000)
 	for i := range recs {
@@ -217,7 +274,7 @@ func TestFanOutMixedShapes(t *testing.T) {
 	for i, s := range shards {
 		stages[i] = s
 	}
-	if err := RunShardedCols(mixed, KeyDst, KeyDstCols, stages...); err != nil {
+	if err := RunSharded(mixed, KeyDstCols, stages...); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	total := 0

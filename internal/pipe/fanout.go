@@ -35,6 +35,11 @@ type Advancer interface {
 // the workers, and then calls each shard's Close serially in index
 // order — the deterministic merge point.
 //
+// FanOut is where the batch shape is fixed: a row batch is gathered
+// into the fan-out's columnar door slab, columnar batches route as
+// they are, and every slab a shard stage receives is columnar. The
+// key and the mark filter read columns only.
+//
 // The watermark/sequence sidecars (Batch.Marks, Batch.Seqs) are
 // stamped only when a mark filter is set (SetMarkFilter): they exist
 // for watermark-driven stages like the sharded classify.Monitor, which
@@ -47,21 +52,17 @@ type Advancer interface {
 // deterministic merge are preserved, but records stop paying for
 // channel hops that cannot buy any parallelism.
 type FanOut struct {
-	key     func(*flow.Record) uint64
+	key     func(*flow.Columns, int) uint64
+	markIf  func(*flow.Columns, int) bool
 	shards  []Stage
 	chans   []chan *Batch
 	pending []*Batch
 	wg      sync.WaitGroup
 	inline  bool
 
-	// colKey and colMarkIf are the columnar counterparts of key and
-	// markIf. When the incoming batch is columnar and the needed
-	// columnar predicates are set, routing reads the column vectors
-	// directly and the records are never materialized; otherwise the
-	// fan-out falls back to materializing the batch and running the row
-	// loop — an unported caller loses speed, never records.
-	colKey    func(*flow.Columns, int) uint64
-	colMarkIf func(*flow.Columns, int) bool
+	// door is the columnar slab a row batch is gathered into before
+	// routing, reused across Process calls.
+	door flow.Columns
 	// colIdx and colMarks are routeCols's per-batch gather scratch
 	// (per-shard row indices; sequential watermark stamps), reused
 	// across batches.
@@ -69,7 +70,6 @@ type FanOut struct {
 	colMarks []int64
 
 	watermark int64
-	markIf    func(*flow.Record) bool
 	seq       uint64
 	routed    bool
 
@@ -87,11 +87,11 @@ type FanOut struct {
 	firstErr error
 }
 
-// NewFanOut builds a fan-out over the given shard stages. key maps a
-// record to a hash; records with equal key%len(shards) are processed
-// by the same shard in stream order. Workers start immediately for
-// len(shards) > 1.
-func NewFanOut(key func(*flow.Record) uint64, shards ...Stage) *FanOut {
+// NewFanOut builds a fan-out over the given shard stages. key hashes
+// row i of a columnar slab (KeyDstCols routes by victim); records with
+// equal key%len(shards) are processed by the same shard in stream
+// order. Workers start immediately for len(shards) > 1.
+func NewFanOut(key func(*flow.Columns, int) uint64, shards ...Stage) *FanOut {
 	if len(shards) == 0 {
 		panic("pipe: NewFanOut needs at least one shard")
 	}
@@ -104,7 +104,7 @@ func NewFanOut(key func(*flow.Record) uint64, shards ...Stage) *FanOut {
 		barrierToken: &Batch{},
 	}
 	for i := range f.pending {
-		f.pending[i] = NewBatch()
+		f.pending[i] = NewColsBatch()
 	}
 	if !f.inline {
 		f.chans = make([]chan *Batch, len(shards))
@@ -169,74 +169,40 @@ func (f *FanOut) err() error {
 }
 
 // Process routes one incoming batch. The caller keeps ownership of b;
-// records are copied into per-shard slabs. Returns the first worker
-// error as soon as any shard has failed, which aborts the source.
-//
-// Columnar batches route column-wise when SetColKey is configured (and
-// SetColMarkFilter, if a mark filter is set); otherwise the batch is
-// materialized and routed row-wise.
+// records are copied into per-shard slabs. A row batch is first
+// gathered into the door slab, so routing always reads columns.
+// Returns the first worker error as soon as any shard has failed,
+// which aborts the source.
 func (f *FanOut) Process(b *Batch) error {
 	if f.failed.Load() {
 		return f.err()
 	}
 	f.routed = f.routed || b.Len() > 0
-	stamp := f.markIf != nil
-	if b.Cols != nil && f.colKey != nil && (!stamp || f.colMarkIf != nil) {
-		return f.routeCols(b.Cols)
+	c := b.Cols
+	if c == nil {
+		c = f.gather(b.Recs)
 	}
-	return f.routeRows(b.Records())
+	return f.routeCols(c)
 }
 
-// routeRows is the row routing loop. Pending slabs keep whatever shape
-// their first append gave them — a record landing on a column-shaped
-// slab is appended column-wise, never mixed in as a row.
+// gather copies a row batch into the door slab and returns it.
 //
 //bsvet:hotpath
-func (f *FanOut) routeRows(recs []flow.Record) error {
-	n := uint64(len(f.shards))
-	stamp := f.markIf != nil
-	for i := range recs {
-		r := &recs[i]
-		s := 0
-		if n > 1 {
-			s = int(f.key(r) % n)
-		}
-		p := f.pending[s]
-		if stamp && f.markIf(r) {
-			if ts := r.Start.Unix(); ts > f.watermark {
-				f.watermark = ts
-			}
-		}
-		if p.Cols != nil {
-			p.Cols.AppendRecord(r)
-		} else {
-			p.Recs = append(p.Recs, *r)
-		}
-		if stamp {
-			p.Marks = append(p.Marks, f.watermark)
-			p.Seqs = append(p.Seqs, f.seq)
-			f.seq++
-		}
-		if p.Len() >= DefaultBatchSize {
-			if err := f.flush(s); err != nil {
-				return err
-			}
-		}
-	}
-	metricRecordsRouted.Add(uint64(len(recs)))
-	return nil
+func (f *FanOut) gather(recs []flow.Record) *flow.Columns {
+	f.door.SetRecords(recs)
+	return &f.door
 }
 
-// routeCols is the columnar routing loop: shard keys and watermark
-// advancement read the column vectors directly, and routed rows are
-// gathered column-to-column into the shard's pending slab. No
-// flow.Record is built anywhere on this path.
+// routeCols is the routing loop: shard keys and watermark advancement
+// read the column vectors directly, and routed rows are gathered
+// column-to-column into the shard's pending slab. No flow.Record is
+// built anywhere on this path.
 //
 // The loop runs as scatter/gather: one pass computes each row's shard
-// (and, when stamping, the same sequential prefix-max watermark and
-// sequence stamps the row loop produces), then each shard's rows are
-// bulk-appended with Columns.AppendIndexed — 17 tight per-column loops
-// per shard per batch instead of 17 slice appends per record. Pending
+// (and, when stamping, the sequential prefix-max watermark and
+// sequence stamps), then each shard's rows are bulk-appended with
+// Columns.AppendIndexed — 17 tight per-column loops per shard per
+// batch instead of 17 slice appends per record. Pending
 // slabs flush after the batch, so they can briefly exceed
 // DefaultBatchSize; stages are batch-size agnostic by contract.
 //
@@ -257,7 +223,7 @@ func (f *FanOut) routeCols(c *flow.Columns) error {
 	}
 	if n > 1 {
 		for i := 0; i < m; i++ {
-			s := f.colKey(c, i) % n
+			s := f.key(c, i) % n
 			idx[s] = append(idx[s], int32(i))
 		}
 	} else {
@@ -274,7 +240,7 @@ func (f *FanOut) routeCols(c *flow.Columns) error {
 		marks = f.colMarks[:m]
 		w := f.watermark
 		for i := 0; i < m; i++ {
-			if f.colMarkIf(c, i) {
+			if f.markIf(c, i) {
 				if ts := c.StartSec[i]; ts > w {
 					w = ts
 				}
@@ -290,15 +256,7 @@ func (f *FanOut) routeCols(c *flow.Columns) error {
 			continue
 		}
 		p := f.pending[s]
-		if p.Cols == nil && len(p.Recs) > 0 {
-			// Row-shaped slab (from an earlier row batch): convert per
-			// record rather than mixing shapes.
-			for _, i := range rows {
-				p.Recs = append(p.Recs, c.Record(int(i)))
-			}
-		} else {
-			p.EnsureCols().AppendIndexed(c, rows)
-		}
+		p.Cols.AppendIndexed(c, rows)
 		if stamp {
 			for _, i := range rows {
 				p.Marks = append(p.Marks, marks[i])
@@ -315,20 +273,20 @@ func (f *FanOut) routeCols(c *flow.Columns) error {
 	return nil
 }
 
-// flush hands shard s's pending slab to its worker (or processes it
-// inline for the single-shard fast path) and starts a fresh slab.
+// flush hands shard s's pending slab to its worker and starts a fresh
+// slab — or, on the inline path, processes it in place and reuses it,
+// since an inline stage is done with the slab when Process returns.
 func (f *FanOut) flush(s int) error {
 	p := f.pending[s]
 	if p.Len() == 0 {
 		return nil
 	}
-	f.pending[s] = NewBatch()
 	metricBatchesRouted.Inc()
 	if f.inline {
 		start := time.Now() //bsvet:allow determinism stage latency telemetry measures host time, not simulated time
 		err := f.shards[s].Process(p)
 		metricStageLatency.ObserveDuration(time.Since(start)) //bsvet:allow determinism stage latency telemetry measures host time, not simulated time
-		p.Release()
+		p.reset()
 		if err != nil {
 			metricStageErrors.Inc()
 			f.fail(err)
@@ -336,6 +294,7 @@ func (f *FanOut) flush(s int) error {
 		}
 		return nil
 	}
+	f.pending[s] = NewColsBatch()
 	if f.failed.Load() {
 		p.Release()
 		return f.err()
@@ -447,57 +406,23 @@ func (f *FanOut) Barrier(fn func() error) error {
 }
 
 // SetMarkFilter enables watermark/sequence stamping, restricting
-// watermark advancement to records satisfying pred. A watermark-driven
+// watermark advancement to rows satisfying pred. A watermark-driven
 // stage whose serial form only moves its clock on a subset of records
 // (classify.Monitor advances on filter-matched records only) needs the
 // stamped prefix-max computed over exactly that subset, or the
 // parallel run would evict earlier than the serial one. Must be called
 // before the first Process.
-func (f *FanOut) SetMarkFilter(pred func(*flow.Record) bool) {
+func (f *FanOut) SetMarkFilter(pred func(*flow.Columns, int) bool) {
 	if f.routed {
 		panic("pipe: SetMarkFilter after records were routed")
 	}
 	f.markIf = pred
 }
 
-// SetColKey enables columnar routing: for columnar batches, key hashes
-// row i of the slab without materializing a record. It must agree with
-// the row key function for every record (pipe.KeyDstCols pairs with
-// pipe.KeyDst), or parallel and serial runs diverge. Must be called
-// before the first Process.
-func (f *FanOut) SetColKey(key func(*flow.Columns, int) uint64) {
-	if f.routed {
-		panic("pipe: SetColKey after records were routed")
-	}
-	f.colKey = key
-}
-
-// SetColMarkFilter is SetMarkFilter's columnar counterpart. When a
-// mark filter is set, columnar routing additionally requires this
-// predicate (agreeing with the row predicate row-for-row) — without it
-// the fan-out materializes batches and stamps through the row loop.
-// Must be called before the first Process.
-func (f *FanOut) SetColMarkFilter(pred func(*flow.Columns, int) bool) {
-	if f.routed {
-		panic("pipe: SetColMarkFilter after records were routed")
-	}
-	f.colMarkIf = pred
-}
-
 // RunSharded drives src through a fan-out over shards and returns the
 // first error. Equivalent to Run(src, NewFanOut(key, shards...)).
-func RunSharded(src Source, key func(*flow.Record) uint64, shards ...Stage) error {
+func RunSharded(src Source, key func(*flow.Columns, int) uint64, shards ...Stage) error {
 	return Run(src, NewFanOut(key, shards...))
-}
-
-// RunShardedCols is RunSharded with a columnar routing key alongside
-// the row key, so columnar batches from the source route without
-// materializing records. The two keys must agree row-for-row.
-func RunShardedCols(src Source, key func(*flow.Record) uint64,
-	colKey func(*flow.Columns, int) uint64, shards ...Stage) error {
-	f := NewFanOut(key, shards...)
-	f.SetColKey(colKey)
-	return Run(src, f)
 }
 
 // Parallelism normalizes a -parallelism flag value: n >= 1 is used as

@@ -12,6 +12,17 @@
 // classify → analyze path keeps every core busy without giving up the
 // replay-equals-live guarantee.
 //
+// # One batch shape past the fan-out
+//
+// Producers emit whichever shape they hold: the flowstore scan emits
+// columnar batches (flow.Columns); the daemon's ingest, the ordered
+// archive Scan and the traffic generator emit row batches
+// (flow.Record slices). FanOut is the door: a row batch is gathered
+// once into a columnar slab the fan-out owns, and from there on
+// routing, watermark stamping and every shard stage read columns only.
+// Stages behind a fan-out see exactly one shape, b.Cols, and never a
+// flow.Record.
+//
 // # Batch lifecycle and ownership
 //
 // A Batch is produced by exactly one party (a Source, or FanOut when it
@@ -42,24 +53,24 @@ import (
 	"booterscope/internal/flow"
 )
 
-// DefaultBatchSize is the record capacity new pooled batches start
-// with — large enough to amortize channel and pool operations, small
-// enough that a shard queue of a few batches bounds memory.
+// DefaultBatchSize is the record count at which the fan-out flushes a
+// shard slab (and the batch size row sources cut their streams into) —
+// large enough to amortize channel and pool operations, small enough
+// that a shard queue of a few batches bounds memory.
 const DefaultBatchSize = 4096
 
 // Batch is a reusable slab of flow records moving through the
 // pipeline, with optional per-record sidecars stamped by FanOut.
 //
-// A batch carries its records in exactly one of two shapes: row form
-// (Recs, the original representation) or columnar form (Cols, the
-// structure-of-arrays slab the flowstore scan emits). The shapes are
-// not mixed — when Cols is non-nil it is the source of truth and Recs
-// is only the lazy materialization cache Records() fills on first
-// demand, so stages that read columns directly never pay for record
-// structs at all.
+// Every batch a FanOut hands to a shard stage is columnar: Cols holds
+// the records, Marks and Seqs their stamps. Recs exists for sources
+// only — a producer holding row records fills Recs and the fan-out
+// gathers them into columns at its door. When Cols is non-nil it is
+// the source of truth and Recs is only the cache Records() fills on
+// first demand.
 type Batch struct {
-	// Recs are the records; consumers iterate Recs[i] by index and must
-	// not retain pointers into the slice past Process. For a columnar
+	// Recs are a source's records in row form; the receiver must not
+	// retain pointers into the slice past Process. For a columnar
 	// batch, Recs is empty until Records() materializes it.
 	Recs []flow.Record
 	// Cols, when non-nil, holds the batch's records in columnar form.
@@ -75,11 +86,10 @@ type Batch struct {
 	Seqs []uint64
 }
 
-var batchPool = sync.Pool{
-	New: func() any {
-		return &Batch{Recs: make([]flow.Record, 0, DefaultBatchSize)}
-	},
-}
+// batchPool recycles batch headers with their sidecars. New batches
+// start empty: a row source sizes Recs itself, and the fan-out's shard
+// slabs are columnar and never touch it.
+var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 
 // colsPool recycles columnar slabs independently of batches, so row
 // batches never carry 17 unused column arrays.
@@ -99,15 +109,6 @@ func NewColsBatch() *Batch {
 	b := NewBatch()
 	b.Cols = colsPool.Get().(*flow.Columns)
 	return b
-}
-
-// EnsureCols attaches (or returns) the batch's columnar slab —
-// producers appending column-wise call this once per batch.
-func (b *Batch) EnsureCols() *flow.Columns {
-	if b.Cols == nil {
-		b.Cols = colsPool.Get().(*flow.Columns)
-	}
-	return b.Cols
 }
 
 // Wrap adopts an existing record slice as a batch without copying.
@@ -130,9 +131,8 @@ func (b *Batch) Len() int {
 
 // Records returns the batch's records in row form, materializing them
 // from the columnar slab on first call (cached for the batch's
-// lifetime). Stages that need whole flow.Records call this; stages
-// ported to read b.Cols directly skip the copy entirely — that skip is
-// the lazy-materialization win of the columnar hot path.
+// lifetime). It serves consumers outside a fan-out that want whole
+// records (takedown.Source.Records); shard stages read b.Cols.
 func (b *Batch) Records() []flow.Record {
 	if b.Cols != nil && len(b.Recs) == 0 && b.Cols.Len() > 0 {
 		b.Recs = b.Cols.MaterializeAppend(b.Recs)
@@ -145,30 +145,23 @@ func (b *Batch) Records() []flow.Record {
 // its own pool, so pooled batches are always row-shaped until a
 // producer attaches columns again.
 func (b *Batch) Release() {
-	b.Recs = b.Recs[:0]
+	b.reset()
 	if b.Cols != nil {
-		b.Cols.Reset()
 		colsPool.Put(b.Cols)
 		b.Cols = nil
 	}
-	b.Marks = b.Marks[:0]
-	b.Seqs = b.Seqs[:0]
 	metricBatchesInFlight.Add(-1)
 	batchPool.Put(b)
 }
 
-// appendRec appends one record with its sidecars.
-func (b *Batch) appendRec(r *flow.Record, mark int64, seq uint64) {
-	b.Recs = append(b.Recs, *r)
-	b.Marks = append(b.Marks, mark)
-	b.Seqs = append(b.Seqs, seq)
-}
-
-// appendColRec appends row i of c column-wise with its sidecars.
-func (b *Batch) appendColRec(c *flow.Columns, i int, mark int64, seq uint64) {
-	b.EnsureCols().AppendFrom(c, i)
-	b.Marks = append(b.Marks, mark)
-	b.Seqs = append(b.Seqs, seq)
+// reset empties the batch in place, keeping every slab's capacity.
+func (b *Batch) reset() {
+	b.Recs = b.Recs[:0]
+	if b.Cols != nil {
+		b.Cols.Reset()
+	}
+	b.Marks = b.Marks[:0]
+	b.Seqs = b.Seqs[:0]
 }
 
 // Stage consumes batches serially: Process is never called
@@ -285,45 +278,29 @@ func fnv1aAddr(h uint64, a [16]byte) uint64 {
 
 const fnvOffset64 = 14695981039346656037
 
-// KeyDst routes records by destination (victim) address: every record
-// about one victim lands on the same shard, which is what keeps the
+// KeyDstAddr hashes a raw 16-byte destination (victim) address with
+// exactly the routing the fan-out applies through KeyDstCols — every
+// record about one victim lands on the same shard, which keeps the
 // per-victim aggregations (classify, attack counting) shard-local and
-// their merge exact.
-func KeyDst(r *flow.Record) uint64 {
-	return KeyDstAddr(r.Dst.As16())
-}
-
-// KeyDstAddr is KeyDst over a raw 16-byte address — checkpoint restore
-// uses it to re-shard saved per-victim state with exactly the routing
-// the live fan-out applies.
+// their merge exact. Checkpoint restore uses it to re-shard saved
+// per-victim state.
 func KeyDstAddr(a [16]byte) uint64 {
 	return fnv1aAddr(fnvOffset64, a)
 }
 
-// KeyDstCols is KeyDst evaluated directly against a columnar slab —
-// the fan-out's columnar routing path hashes the raw address halves
-// without materializing a record or a 16-byte array: fnv1aAddr reads
-// the address little-endian while the halves are big-endian words, so
-// a byte swap per half reproduces KeyDst bit-exactly for every address
-// shape (including invalid addresses, whose halves and As16 are both
-// zero). The columnar fan-out golden pins the equality.
+// KeyDstCols routes row i of a columnar slab by destination: it hashes
+// the raw address halves without materializing a record or a 16-byte
+// array. fnv1aAddr reads the address little-endian while the halves are
+// big-endian words, so a byte swap per half reproduces KeyDstAddr of
+// the row's As16 form bit-exactly for every address shape (including
+// invalid addresses, whose halves and As16 are both zero). The fan-out
+// routing golden pins the equality.
 func KeyDstCols(c *flow.Columns, i int) uint64 {
 	const prime64 = 1099511628211
 	h := uint64(fnvOffset64)
 	h ^= bits.ReverseBytes64(c.DstHi[i])
 	h *= prime64
 	h ^= bits.ReverseBytes64(c.DstLo[i])
-	h *= prime64
-	return h
-}
-
-// KeyFlow routes records by the full 5-tuple — for stages keyed on
-// flows rather than victims.
-func KeyFlow(r *flow.Record) uint64 {
-	h := fnv1aAddr(fnvOffset64, r.Src.As16())
-	h = fnv1aAddr(h, r.Dst.As16())
-	h ^= uint64(r.SrcPort)<<32 | uint64(r.DstPort)<<16 | uint64(r.Protocol)
-	const prime64 = 1099511628211
 	h *= prime64
 	return h
 }

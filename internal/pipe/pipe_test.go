@@ -109,8 +109,8 @@ func TestRunDrivesStageAndCloses(t *testing.T) {
 // filter, exercising the stamped (watermark-driven) routing path that
 // the sharded monitor uses.
 func runMarked(src Source, shards ...Stage) error {
-	f := NewFanOut(KeyDst, shards...)
-	f.SetMarkFilter(func(*flow.Record) bool { return true })
+	f := NewFanOut(KeyDstCols, shards...)
+	f.SetMarkFilter(func(*flow.Columns, int) bool { return true })
 	return Run(src, f)
 }
 
@@ -138,7 +138,7 @@ func TestFanOutRoutesAllRecordsByKey(t *testing.T) {
 				}
 				total += len(st.dsts)
 				for i, d := range st.dsts {
-					if want := int(KeyDst(&flow.Record{Key: flow.Key{Dst: d}}) % uint64(shards)); want != s {
+					if want := int(KeyDstAddr(d.As16()) % uint64(shards)); want != s {
 						t.Fatalf("record for %s landed on shard %d, want %d", d, s, want)
 					}
 					if seen[st.seqs[i]] {
@@ -217,7 +217,7 @@ func TestFanOutPropagatesStageErrorAndCancelsSource(t *testing.T) {
 			for i := range sts {
 				sts[i] = &collectStage{failAfter: 100}
 			}
-			err := RunSharded(src, KeyDst, sts...)
+			err := RunSharded(src, KeyDstCols, sts...)
 			if err == nil || err.Error() != "stage failed" {
 				t.Fatalf("RunSharded error = %v, want stage failed", err)
 			}
@@ -262,7 +262,7 @@ func TestFanOutLeanWithoutMarkFilter(t *testing.T) {
 	}
 	sts := []*collectStage{{}, {}, {}}
 	stages := []Stage{sts[0], sts[1], sts[2]}
-	if err := RunSharded(sliceSource(recs, 256), KeyDst, stages...); err != nil {
+	if err := RunSharded(sliceSource(recs, 256), KeyDstCols, stages...); err != nil {
 		t.Fatalf("RunSharded: %v", err)
 	}
 	total := 0

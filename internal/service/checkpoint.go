@@ -11,6 +11,7 @@ import (
 
 	"booterscope/internal/chaos"
 	"booterscope/internal/classify"
+	"booterscope/internal/durable"
 )
 
 // Checkpoint file layout (the flowstore CRC-framing pattern applied to
@@ -89,12 +90,6 @@ type Checkpoint struct {
 
 // CheckpointPath returns the checkpoint file location under dir.
 func CheckpointPath(dir string) string { return filepath.Join(dir, ckptFileName) }
-
-func appendFrame(dst []byte, payload []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
-}
 
 func encodeHeader(cp *Checkpoint) []byte {
 	s := cp.Monitor
@@ -265,19 +260,19 @@ func decodeAttacks(b []byte, snap *classify.MonitorSnapshot) error {
 // restore-equivalence test pins this).
 func EncodeCheckpoint(cp *Checkpoint) []byte {
 	out := append([]byte(nil), ckptMagic[:]...)
-	out = appendFrame(out, encodeHeader(cp))
+	out = durable.AppendFrame(out, encodeHeader(cp))
 	bins := cp.Monitor.Bins
 	for len(bins) > 0 {
 		n := len(bins)
 		if n > binsPerFrame {
 			n = binsPerFrame
 		}
-		out = appendFrame(out, encodeBins(bins[:n]))
+		out = durable.AppendFrame(out, encodeBins(bins[:n]))
 		bins = bins[n:]
 	}
-	out = appendFrame(out, encodeAlerted(cp.Monitor.Alerted))
-	out = appendFrame(out, encodeAttacks(cp.Monitor.Attacks))
-	return appendFrame(out, []byte{frameTrailer})
+	out = durable.AppendFrame(out, encodeAlerted(cp.Monitor.Alerted))
+	out = durable.AppendFrame(out, encodeAttacks(cp.Monitor.Attacks))
+	return durable.AppendFrame(out, []byte{frameTrailer})
 }
 
 // DecodeCheckpoint parses bytes produced by EncodeCheckpoint, verifying
@@ -340,65 +335,22 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// SaveCheckpoint atomically publishes cp under dir: the framed bytes go
-// to a temp file (every write, the fsync, and the rename run through
-// the fault hook, so the chaos suite can kill the writer at each
-// offset), and only a complete, synced temp file is renamed over the
-// previous checkpoint. On any failure the previous checkpoint is left
-// intact and the temp file removed. Returns the checkpoint size.
+// SaveCheckpoint atomically publishes cp under dir through
+// durable.File: the framed bytes go to a temp file (every frame write,
+// the fsync, and the rename run through the fault hook as "checkpoint
+// write/fsync/rename", so the chaos suite can kill the writer at each
+// offset), only a complete, synced temp file is renamed over the
+// previous checkpoint, and the directory is synced. A failure before
+// the rename leaves the previous checkpoint intact and removes the
+// temp file. Returns the checkpoint size.
 func SaveCheckpoint(dir string, cp *Checkpoint, fault *chaos.Failpoint) (int64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("service: checkpoint dir: %w", err)
 	}
-	tmp := filepath.Join(dir, ckptTmpName)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("service: checkpoint temp file: %w", err)
-	}
 	enc := EncodeCheckpoint(cp)
-	fail := func(err error) (int64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	// Write frame by frame so each frame is a distinct fault-injection
-	// point — the granularity a real crash tears files at.
-	for off := 0; off < len(enc); {
-		end := len(enc)
-		if off+8 <= len(enc) && off >= len(ckptMagic) {
-			end = off + 8 + int(binary.BigEndian.Uint32(enc[off:]))
-		} else if off == 0 {
-			end = len(ckptMagic)
-		}
-		if err := fault.Check("checkpoint write"); err != nil {
-			return fail(err)
-		}
-		if _, err := f.Write(enc[off:end]); err != nil {
-			return fail(fmt.Errorf("service: writing checkpoint: %w", err))
-		}
-		off = end
-	}
-	if err := fault.Check("checkpoint fsync"); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("service: syncing checkpoint: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		return fail(fmt.Errorf("service: closing checkpoint: %w", err))
-	}
-	if err := fault.Check("checkpoint rename"); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, CheckpointPath(dir)); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("service: publishing checkpoint: %w", err)
-	}
-	// Best-effort directory sync so the rename itself is durable.
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
+	f := durable.File{Path: CheckpointPath(dir), Tmp: filepath.Join(dir, ckptTmpName), Fault: fault, Label: "checkpoint"}
+	if err := f.Publish(durable.Frames(enc, len(ckptMagic))...); err != nil {
+		return 0, fmt.Errorf("service: %w", err)
 	}
 	return int64(len(enc)), nil
 }

@@ -66,17 +66,15 @@ func (p Figure4Panel) String() string {
 // ReflectorVectors are the amplification vectors analyzed in Figure 4.
 var ReflectorVectors = []amplify.Vector{amplify.Memcached, amplify.NTP, amplify.DNS}
 
-// runSharded drives src through par shard stages built by mk, routed
-// by victim hash.
-func runSharded(src Source, par int, mk func() pipe.Stage) error {
-	if par < 1 {
-		par = 1
-	}
-	stages := make([]pipe.Stage, par)
+// RunSharded drives src through par (at least one) shard stages built
+// by mk, routed by victim hash — the pipeline driver of every takedown
+// and landscape analysis. Each stage receives columnar batches only.
+func RunSharded(src Source, par int, mk func() pipe.Stage) error {
+	stages := make([]pipe.Stage, max(par, 1))
 	for i := range stages {
 		stages[i] = mk()
 	}
-	return pipe.RunShardedCols(pipe.Source(src), pipe.KeyDst, pipe.KeyDstCols, stages...)
+	return pipe.RunSharded(pipe.Source(src), pipe.KeyDstCols, stages...)
 }
 
 // newVectorSeries allocates one daily series per reflector vector.
@@ -112,31 +110,17 @@ func newTriggerStage(w Window, into map[amplify.Vector]*timeseries.Series) *trig
 	return t
 }
 
-// Process implements pipe.Stage. Columnar batches aggregate straight
-// from the port/proto columns; no record is materialized.
+// Process implements pipe.Stage, aggregating straight from the
+// port/proto columns.
 func (t *triggerStage) Process(b *pipe.Batch) error {
-	if c := b.Cols; c != nil {
-		for i, n := 0, c.Len(); i < n; i++ {
-			if c.Proto[i] != packet.IPProtoUDP {
-				continue
-			}
-			for j, p := range t.ports {
-				if c.DstPort[i] == p {
-					t.byPort[j].Add(t.w.DayTimeSec(c.StartSec[i]), float64(c.ScaledPackets(i)))
-					break
-				}
-			}
-		}
-		return nil
-	}
-	for i := range b.Recs {
-		rec := &b.Recs[i]
-		if rec.Protocol != packet.IPProtoUDP {
+	c := b.Cols
+	for i, n := 0, c.Len(); i < n; i++ {
+		if c.Proto[i] != packet.IPProtoUDP {
 			continue
 		}
 		for j, p := range t.ports {
-			if rec.DstPort == p {
-				t.byPort[j].Add(t.w.DayTime(rec.Start), float64(rec.ScaledPackets()))
+			if c.DstPort[i] == p {
+				t.byPort[j].Add(t.w.DayTimeSec(c.StartSec[i]), float64(c.ScaledPackets(i)))
 				break
 			}
 		}
@@ -164,14 +148,9 @@ func newCounterStage(into *classify.AttackCounter) *counterStage {
 
 // Process implements pipe.Stage.
 func (c *counterStage) Process(b *pipe.Batch) error {
-	if cols := b.Cols; cols != nil {
-		for i, n := 0, cols.Len(); i < n; i++ {
-			c.counter.AddCols(cols, i)
-		}
-		return nil
-	}
-	for i := range b.Recs {
-		c.counter.Add(&b.Recs[i])
+	cols := b.Cols
+	for i, n := 0, cols.Len(); i < n; i++ {
+		c.counter.AddCols(cols, i)
 	}
 	return nil
 }
@@ -185,7 +164,7 @@ func (c *counterStage) Close() error {
 // triggerSeries runs the trigger aggregation over src with par shards.
 func triggerSeries(src Source, w Window, par int) (map[amplify.Vector]*timeseries.Series, error) {
 	merged := newVectorSeries()
-	err := runSharded(src, par, func() pipe.Stage { return newTriggerStage(w, merged) })
+	err := RunSharded(src, par, func() pipe.Stage { return newTriggerStage(w, merged) })
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +251,7 @@ func figure5FromCounter(counter *classify.AttackCounter, w Window, k trafficgen.
 // result is independent of record order and shard count.
 func Figure5Source(src Source, w Window, k trafficgen.Kind, par int) (*Figure5Result, error) {
 	counter := classify.NewAttackCounter(classify.Config{})
-	err := runSharded(src, par, func() pipe.Stage { return newCounterStage(counter) })
+	err := RunSharded(src, par, func() pipe.Stage { return newCounterStage(counter) })
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +328,7 @@ type Analysis struct {
 func Analyze(src Source, w Window, k trafficgen.Kind, par int) (*Analysis, error) {
 	series := newVectorSeries()
 	counter := classify.NewAttackCounter(classify.Config{})
-	err := runSharded(src, par, func() pipe.Stage {
+	err := RunSharded(src, par, func() pipe.Stage {
 		return pipe.MultiStage(newTriggerStage(w, series), newCounterStage(counter))
 	})
 	if err != nil {
@@ -399,19 +378,11 @@ func newDirectionStage(w Window, v amplify.Vector, into map[flow.Direction]*time
 
 // Process implements pipe.Stage.
 func (d *directionStage) Process(b *pipe.Batch) error {
-	if c := b.Cols; c != nil {
-		port := d.v.Port()
-		for i, n := 0, c.Len(); i < n; i++ {
-			if c.Proto[i] == packet.IPProtoUDP && c.DstPort[i] == port {
-				d.series[c.Direction(i)].Add(d.w.DayTime(c.Start(i)), float64(c.ScaledPackets(i)))
-			}
-		}
-		return nil
-	}
-	for i := range b.Recs {
-		rec := &b.Recs[i]
-		if rec.Protocol == packet.IPProtoUDP && rec.DstPort == d.v.Port() {
-			d.series[rec.Direction].Add(d.w.DayTime(rec.Start), float64(rec.ScaledPackets()))
+	c := b.Cols
+	port := d.v.Port()
+	for i, n := 0, c.Len(); i < n; i++ {
+		if c.Proto[i] == packet.IPProtoUDP && c.DstPort[i] == port {
+			d.series[c.Direction(i)].Add(d.w.DayTime(c.Start(i)), float64(c.ScaledPackets(i)))
 		}
 	}
 	return nil
@@ -432,7 +403,7 @@ func DirectionBreakdownSource(src Source, w Window, k trafficgen.Kind, v amplify
 		flow.Ingress: timeseries.NewDaily(),
 		flow.Egress:  timeseries.NewDaily(),
 	}
-	err := runSharded(src, par, func() pipe.Stage { return newDirectionStage(w, v, series) })
+	err := RunSharded(src, par, func() pipe.Stage { return newDirectionStage(w, v, series) })
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,6 @@
 package eventlog
 
 import (
-	"booterscope/internal/chaos"
-
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,6 +9,9 @@ import (
 	"path/filepath"
 	"regexp"
 	"time"
+
+	"booterscope/internal/chaos"
+	"booterscope/internal/durable"
 )
 
 // Incident dump file layout (the checkpoint CRC-framing pattern
@@ -151,7 +152,7 @@ func EncodeDump(reason string, wallNanos int64, events []Event) []byte {
 	hdr = appendString(hdr, reason)
 	hdr = binary.BigEndian.AppendUint64(hdr, uint64(wallNanos))
 	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(events)))
-	out = appendFrame(out, hdr)
+	out = durable.AppendFrame(out, hdr)
 	for len(events) > 0 {
 		n := len(events)
 		if n > eventsPerFrame {
@@ -162,16 +163,10 @@ func EncodeDump(reason string, wallNanos int64, events []Event) []byte {
 		for i := 0; i < n; i++ {
 			chunk = encodeEvent(chunk, &events[i])
 		}
-		out = appendFrame(out, chunk)
+		out = durable.AppendFrame(out, chunk)
 		events = events[n:]
 	}
-	return appendFrame(out, []byte{dumpFrameTrailer})
-}
-
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
+	return durable.AppendFrame(out, []byte{dumpFrameTrailer})
 }
 
 // DecodeDump parses bytes produced by EncodeDump, verifying magic,
@@ -253,12 +248,13 @@ func DecodeDump(b []byte) (*Dump, error) {
 }
 
 // SaveDump atomically publishes events as the incident dump for
-// reason under dir: the framed bytes go to a temp file (every write,
-// the fsync, and the rename run through the fault hook, so the
-// incident-chaos gate can kill the writer at each offset), and only a
-// complete, synced temp file is renamed over the previous dump. On
-// any failure the previous dump is left intact and the temp file
-// removed. Returns the dump path and size.
+// reason under dir through durable.File: the framed bytes go to a temp
+// file (every frame write, the fsync, and the rename run through the
+// fault hook as "incident write/fsync/rename", so the incident-chaos
+// gate can kill the writer at each offset), only a complete, synced
+// temp file is renamed over the previous dump, and the directory is
+// synced. A failure before the rename leaves the previous dump intact
+// and removes the temp file. Returns the dump path and size.
 func SaveDump(dir, reason string, wallNanos int64, events []Event, fault *chaos.Failpoint) (string, int64, error) {
 	if !reasonRE.MatchString(reason) {
 		return "", 0, fmt.Errorf("eventlog: dump reason %q does not match %s", reason, reasonRE)
@@ -266,56 +262,11 @@ func SaveDump(dir, reason string, wallNanos int64, events []Event, fault *chaos.
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", 0, fmt.Errorf("eventlog: incident dir: %w", err)
 	}
-	tmp := filepath.Join(dir, "incident-"+reason+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return "", 0, fmt.Errorf("eventlog: dump temp file: %w", err)
-	}
 	enc := EncodeDump(reason, wallNanos, events)
-	fail := func(err error) (string, int64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return "", 0, err
-	}
-	// Write frame by frame so each frame is a distinct fault-injection
-	// point — the granularity a real crash tears files at.
-	for off := 0; off < len(enc); {
-		end := len(enc)
-		if off == 0 {
-			end = len(dumpMagic)
-		} else if off+8 <= len(enc) {
-			end = off + 8 + int(binary.BigEndian.Uint32(enc[off:]))
-		}
-		if err := fault.Check("incident write"); err != nil {
-			return fail(err)
-		}
-		if _, err := f.Write(enc[off:end]); err != nil {
-			return fail(fmt.Errorf("eventlog: writing dump: %w", err))
-		}
-		off = end
-	}
-	if err := fault.Check("incident fsync"); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("eventlog: syncing dump: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		return fail(fmt.Errorf("eventlog: closing dump: %w", err))
-	}
-	if err := fault.Check("incident rename"); err != nil {
-		os.Remove(tmp)
-		return "", 0, err
-	}
 	path := DumpPath(dir, reason)
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return "", 0, fmt.Errorf("eventlog: publishing dump: %w", err)
-	}
-	// Best-effort directory sync so the rename itself is durable.
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
+	f := durable.File{Path: path, Tmp: filepath.Join(dir, "incident-"+reason+".tmp"), Fault: fault, Label: "incident"}
+	if err := f.Publish(durable.Frames(enc, len(dumpMagic))...); err != nil {
+		return "", 0, fmt.Errorf("eventlog: %w", err)
 	}
 	return path, int64(len(enc)), nil
 }
