@@ -13,9 +13,10 @@ import (
 // TestColumnarMatchesRow is the end-to-end differential golden for the
 // columnar hot path: every replayed analysis — the single-pass takedown
 // Analyze, the packet-size histogram, and the victim classification —
-// must be byte-identical between the columnar scan (the default) and
-// the retained row-decode oracle (flowstore.Options.RowDecode), at
-// serial and fanned-out parallelism alike. This is the guarantee that
+// must be byte-identical to the same analysis run serially over the
+// in-memory records the archive was written from, at serial and
+// fanned-out replay parallelism alike. The reference never touches a
+// block decoder, so this is the guarantee that the block codec,
 // predicate pushdown, lazy materialization, and columnar routing are
 // pure plumbing: they may only change how fast records move, never
 // which records move or what the stages compute from them.
@@ -27,63 +28,69 @@ func TestColumnarMatchesRow(t *testing.T) {
 		Seed:     7,
 		Scale:    0.15,
 	}
-	scen := trafficgen.NewScenario(cfg)
-	k := trafficgen.KindTier2
-	study := &TakedownStudy{Scenario: scen, Event: takedown.FBITakedown}
-
+	study := &TakedownStudy{
+		opts:     Options{Parallelism: 1},
+		Scenario: trafficgen.NewScenario(cfg),
+		Event:    takedown.FBITakedown,
+	}
+	kinds := []trafficgen.Kind{trafficgen.KindTier2, trafficgen.KindIXP}
 	dir := t.TempDir()
-	if err := study.WriteArchive(dir, flowstore.Options{NoSync: true}, k); err != nil {
+	if err := study.WriteArchive(dir, flowstore.Options{NoSync: true}, kinds...); err != nil {
 		t.Fatalf("write archive: %v", err)
 	}
+	replay, err := OpenReplay(dir)
+	if err != nil {
+		t.Fatalf("open replay: %v", err)
+	}
+	defer replay.Close()
 
 	type result struct {
 		analysis *takedown.Analysis
 		fig2a    *PacketSizeDistribution
 		fig2bc   *VantageVictims
 	}
-	run := func(rowDecode bool, par int) result {
-		replay, err := OpenReplayOptions(dir, flowstore.Options{RowDecode: rowDecode})
-		if err != nil {
-			t.Fatalf("open replay (rowDecode=%v): %v", rowDecode, err)
+	for _, k := range kinds {
+		// The serial in-memory reference.
+		var want result
+		if want.analysis, err = study.Analyze(k); err != nil {
+			t.Fatalf("%v: reference analyze: %v", k, err)
 		}
-		defer replay.Close()
-		replay.Parallelism = par
-		a, err := replay.Analyze(k)
-		if err != nil {
-			t.Fatalf("analyze (rowDecode=%v par=%d): %v", rowDecode, par, err)
+		if want.fig2bc, err = figure2bcSource(study.source(k), k, 1); err != nil {
+			t.Fatalf("%v: reference figure2bc: %v", k, err)
 		}
-		bc, err := replay.Figure2bc(k)
-		if err != nil {
-			t.Fatalf("figure2bc (rowDecode=%v par=%d): %v", rowDecode, par, err)
-		}
-		var a2 *PacketSizeDistribution
 		if k == trafficgen.KindIXP {
-			a2, err = replay.Figure2a()
-			if err != nil {
-				t.Fatalf("figure2a (rowDecode=%v par=%d): %v", rowDecode, par, err)
+			if want.fig2a, err = figure2aSource(study.source(k), 1); err != nil {
+				t.Fatalf("reference figure2a: %v", err)
+			}
+			if want.fig2a.Histogram.Total() == 0 {
+				t.Fatal("reference figure2a is empty")
 			}
 		}
-		return result{analysis: a, fig2a: a2, fig2bc: bc}
-	}
-
-	want := run(true, 1) // serial row-decode oracle
-	if len(want.analysis.Figure4) == 0 || len(want.fig2bc.Victims) == 0 {
-		t.Fatal("oracle run is degenerate")
-	}
-	for _, par := range []int{1, 4} {
-		for _, rowDecode := range []bool{false, true} {
-			if rowDecode && par == 1 {
-				continue // the reference itself
+		if len(want.analysis.Figure4) == 0 || len(want.fig2bc.Victims) == 0 {
+			t.Fatalf("%v: reference run is degenerate", k)
+		}
+		for _, par := range []int{1, 4} {
+			replay.Parallelism = par
+			var got result
+			if got.analysis, err = replay.Analyze(k); err != nil {
+				t.Fatalf("%v: analyze (par=%d): %v", k, par, err)
 			}
-			got := run(rowDecode, par)
+			if got.fig2bc, err = replay.Figure2bc(k); err != nil {
+				t.Fatalf("%v: figure2bc (par=%d): %v", k, par, err)
+			}
+			if k == trafficgen.KindIXP {
+				if got.fig2a, err = replay.Figure2a(); err != nil {
+					t.Fatalf("figure2a (par=%d): %v", par, err)
+				}
+			}
 			if !reflect.DeepEqual(want.analysis, got.analysis) {
-				t.Errorf("analysis diverges from oracle (rowDecode=%v par=%d)", rowDecode, par)
+				t.Errorf("%v: analysis diverges from the in-memory reference (par=%d)", k, par)
 			}
 			if !reflect.DeepEqual(want.fig2bc, got.fig2bc) {
-				t.Errorf("figure2bc diverges from oracle (rowDecode=%v par=%d)", rowDecode, par)
+				t.Errorf("%v: figure2bc diverges from the in-memory reference (par=%d)", k, par)
 			}
 			if !reflect.DeepEqual(want.fig2a, got.fig2a) {
-				t.Errorf("figure2a diverges from oracle (rowDecode=%v par=%d)", rowDecode, par)
+				t.Errorf("%v: figure2a diverges from the in-memory reference (par=%d)", k, par)
 			}
 		}
 	}

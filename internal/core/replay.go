@@ -102,14 +102,6 @@ func (r *ReplayStudy) par() int { return pipe.Parallelism(r.Parallelism) }
 // cmd/flowgen -out). At least one vantage store must be present; the
 // analysis window comes from the stores' manifest metadata.
 func OpenReplay(dir string) (*ReplayStudy, error) {
-	return OpenReplayOptions(dir, flowstore.Options{})
-}
-
-// OpenReplayOptions is OpenReplay with explicit store options — the
-// seam the differential tests use to pin the row-decode oracle
-// (flowstore.Options.RowDecode) against the columnar default. Geometry
-// fields are overwritten by each store's manifest as usual.
-func OpenReplayOptions(dir string, opts flowstore.Options) (*ReplayStudy, error) {
 	r := &ReplayStudy{
 		Event:  takedown.FBITakedown,
 		dir:    dir,
@@ -120,7 +112,7 @@ func OpenReplayOptions(dir string, opts flowstore.Options) (*ReplayStudy, error)
 		if _, err := os.Stat(filepath.Join(sd, "MANIFEST.json")); err != nil {
 			continue
 		}
-		st, err := flowstore.Open(sd, opts)
+		st, err := flowstore.Open(sd, flowstore.Options{})
 		if err != nil {
 			r.Close()
 			return nil, fmt.Errorf("core: opening %s store: %w", ak.Slug, err)

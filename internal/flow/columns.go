@@ -19,7 +19,7 @@ import (
 // direction) — exactly the flowstore codec's wire model — so equality
 // and hashing never construct a netip.Addr. Times are (unix second,
 // nanosecond) pairs; Record reconstructs them with time.Unix(...).UTC()
-// byte-identically to the row decoder.
+// byte-identically to the flowstore block decoder's test oracle.
 type Columns struct {
 	// Flags holds the per-row Flag* bits.
 	Flags []uint8

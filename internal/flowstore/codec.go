@@ -3,9 +3,6 @@ package flowstore
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-	"net/netip"
-	"time"
 
 	"booterscope/internal/flow"
 )
@@ -91,11 +88,6 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// addrFromHalves reconstructs an address from its halves and flag bits.
-func addrFromHalves(hi, lo uint64, valid, is4 bool) netip.Addr {
-	return flow.AddrFromHalves(hi, lo, valid, is4)
-}
-
 // maxDictValues bounds dictionary size; past it a column is not
 // low-cardinality and raw encoding wins anyway.
 const maxDictValues = 256
@@ -165,20 +157,11 @@ func splitColumns(payload []byte, want int) ([][]byte, error) {
 }
 
 // parsedBlock is a payload cut into per-column byte slices (views into
-// the payload buffer) with their encoding tags — the shared front end
-// of the row decoder and the columnar decoder.
+// the payload buffer) with their encoding tags — the front end of the
+// columnar decoder.
 type parsedBlock struct {
 	cols [nCols][]byte
 	encs [nCols]byte
-}
-
-// parsePayload detects the payload format and splits it into columns.
-func parsePayload(payload []byte) (*parsedBlock, error) {
-	pb := &parsedBlock{}
-	if err := pb.parse(payload); err != nil {
-		return nil, err
-	}
-	return pb, nil
 }
 
 // parse detects the payload format and fills pb with column views into
@@ -253,85 +236,6 @@ func dictHeader(col []byte, count int) (values []uint64, packed []byte, err erro
 	return values, col[rd.off:], nil
 }
 
-// bitReader unpacks fixed-width dict indices, LSB-first within each
-// byte.
-type bitReader struct {
-	b     []byte
-	width int
-	pos   int // row position
-}
-
-func (r *bitReader) next() (uint64, error) {
-	if r.width == 0 {
-		return 0, nil
-	}
-	perByte := 8 / r.width
-	byteIx := r.pos / perByte
-	if byteIx >= len(r.b) {
-		return 0, fmt.Errorf("flowstore: dict index column truncated at row %d", r.pos)
-	}
-	shift := uint(r.pos%perByte) * uint(r.width)
-	r.pos++
-	return uint64(r.b[byteIx]>>shift) & (1<<uint(r.width) - 1), nil
-}
-
-// valueReader iterates one value column row by row regardless of its
-// encoding — the row decoder's per-column cursor.
-type valueReader struct {
-	enc    byte
-	raw    colReader
-	values []uint64
-	bits   bitReader
-	fixed  []byte // encFixed values (width byte stripped)
-	width  int
-	pos    int
-}
-
-func newValueReader(col []byte, enc byte, count int) (valueReader, error) {
-	v := valueReader{enc: enc}
-	switch enc {
-	case encRaw:
-		v.raw = colReader{b: col}
-		return v, nil
-	case encFixed:
-		w, data, err := fixedHeader(col, count)
-		if err != nil {
-			return v, err
-		}
-		v.width, v.fixed = w, data
-		return v, nil
-	}
-	values, packed, err := dictHeader(col, count)
-	if err != nil {
-		return v, err
-	}
-	v.values = values
-	v.bits = bitReader{b: packed, width: dictWidth(len(values))}
-	return v, nil
-}
-
-func (v *valueReader) next() (uint64, error) {
-	switch v.enc {
-	case encRaw:
-		return v.raw.uvarint()
-	case encFixed:
-		off := v.pos * v.width
-		if off+v.width > len(v.fixed) {
-			return 0, fmt.Errorf("flowstore: fixed column truncated at row %d", v.pos)
-		}
-		v.pos++
-		return fixedLoad(v.fixed[off:], v.width), nil
-	}
-	ix, err := v.bits.next()
-	if err != nil {
-		return 0, err
-	}
-	if ix >= uint64(len(v.values)) {
-		return 0, fmt.Errorf("flowstore: dict index %d out of range", ix)
-	}
-	return v.values[ix], nil
-}
-
 // fixedHeader validates an encFixed column against the row count and
 // returns its width and value bytes.
 func fixedHeader(col []byte, count int) (width int, data []byte, err error) {
@@ -348,136 +252,4 @@ func fixedHeader(col []byte, count int) (width int, data []byte, err error) {
 		return 0, nil, fmt.Errorf("flowstore: fixed column length %d, want %d", len(col)-1, count*w)
 	}
 	return w, col[1:], nil
-}
-
-// fixedLoad reads one little-endian value at the given width.
-func fixedLoad(b []byte, width int) uint64 {
-	switch width {
-	case 1:
-		return uint64(b[0])
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(b))
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(b))
-	default:
-		return binary.LittleEndian.Uint64(b)
-	}
-}
-
-// checkFieldRanges validates the narrow-field casts a decoded row
-// performs, so corrupt payloads error instead of silently truncating —
-// the row and columnar decoders apply identical checks, which is what
-// lets the differential fuzz target require identical outcomes.
-func checkFieldRanges(sport, dport, sns, ens, srcAS, dstAS, sampling uint64) error {
-	if sport > math.MaxUint16 || dport > math.MaxUint16 {
-		return fmt.Errorf("flowstore: port value out of range")
-	}
-	if sns >= 1e9 || ens >= 1e9 {
-		return fmt.Errorf("flowstore: nanosecond value out of range")
-	}
-	if srcAS > math.MaxUint32 || dstAS > math.MaxUint32 || sampling > math.MaxUint32 {
-		return fmt.Errorf("flowstore: 32-bit field out of range")
-	}
-	return nil
-}
-
-// decodeBlock decodes a column payload (either format) into count
-// records row at a time, appending to dst and returning it. This is
-// the reference decoder: the columnar fast path must match it byte for
-// byte (the differential golden and the fuzz target pin this).
-func decodeBlock(dst []flow.Record, payload []byte, count int) ([]flow.Record, error) {
-	pb, err := parsePayload(payload)
-	if err != nil {
-		return dst, err
-	}
-	colFlags := pb.cols[colFlagsIdx]
-	if pb.encs[colFlagsIdx] != encRaw || len(colFlags) != count {
-		return dst, fmt.Errorf("flowstore: flags column length %d, want %d", len(colFlags), count)
-	}
-	// Protocol: a raw byte column (v1 layout) or an encoded value
-	// column, dispatched on its tag.
-	var protoAt func(i int) (uint64, error)
-	if pb.encs[colProtoIdx] == encRaw {
-		colProto := pb.cols[colProtoIdx]
-		if len(colProto) != count {
-			return dst, fmt.Errorf("flowstore: block byte-column length mismatch (%d flags, %d protos, want %d)",
-				len(colFlags), len(colProto), count)
-		}
-		protoAt = func(i int) (uint64, error) { return uint64(colProto[i]), nil }
-	} else {
-		vr, err := newValueReader(pb.cols[colProtoIdx], pb.encs[colProtoIdx], count)
-		if err != nil {
-			return dst, err
-		}
-		protoAt = func(int) (uint64, error) { return vr.next() }
-	}
-	var rd [nCols]valueReader
-	for i := colSrcHiIdx; i < nCols; i++ {
-		if i == colProtoIdx {
-			continue
-		}
-		if rd[i], err = newValueReader(pb.cols[i], pb.encs[i], count); err != nil {
-			return dst, err
-		}
-	}
-	prevStartSec := int64(0)
-	for i := 0; i < count; i++ {
-		flags := colFlags[i]
-		shi, err1 := rd[colSrcHiIdx].next()
-		slo, err2 := rd[colSrcLoIdx].next()
-		dhi, err3 := rd[colDstHiIdx].next()
-		dlo, err4 := rd[colDstLoIdx].next()
-		sport, err5 := rd[colSrcPortIdx].next()
-		dport, err6 := rd[colDstPortIdx].next()
-		proto, err7 := protoAt(i)
-		pkts, err8 := rd[colPacketsIdx].next()
-		bytes, err9 := rd[colBytesIdx].next()
-		ssecD, err10 := rd[colStartSecIdx].next()
-		sns, err11 := rd[colStartNsIdx].next()
-		esecD, err12 := rd[colEndSecIdx].next()
-		ens, err13 := rd[colEndNsIdx].next()
-		srcAS, err14 := rd[colSrcASIdx].next()
-		dstAS, err15 := rd[colDstASIdx].next()
-		sampling, err16 := rd[colSamplingIdx].next()
-		for _, e := range []error{err1, err2, err3, err4, err5, err6, err7, err8,
-			err9, err10, err11, err12, err13, err14, err15, err16} {
-			if e != nil {
-				return dst, e
-			}
-		}
-		if proto > math.MaxUint8 {
-			return dst, fmt.Errorf("flowstore: protocol value out of range")
-		}
-		if err := checkFieldRanges(sport, dport, sns, ens, srcAS, dstAS, sampling); err != nil {
-			return dst, err
-		}
-		ssec := prevStartSec + unzigzag(ssecD)
-		prevStartSec = ssec
-		esec := ssec + unzigzag(esecD)
-		dst = append(dst, flow.Record{
-			Key: flow.Key{
-				Src:      addrFromHalves(shi, slo, flags&flagSrcValid != 0, flags&flagSrcIs4 != 0),
-				Dst:      addrFromHalves(dhi, dlo, flags&flagDstValid != 0, flags&flagDstIs4 != 0),
-				SrcPort:  uint16(sport),
-				DstPort:  uint16(dport),
-				Protocol: uint8(proto),
-			},
-			Packets:      pkts,
-			Bytes:        bytes,
-			Start:        time.Unix(ssec, int64(sns)).UTC(),
-			End:          time.Unix(esec, int64(ens)).UTC(),
-			SrcAS:        uint32(srcAS),
-			DstAS:        uint32(dstAS),
-			Direction:    direction(flags),
-			SamplingRate: uint32(sampling),
-		})
-	}
-	return dst, nil
-}
-
-func direction(flags byte) flow.Direction {
-	if flags&flagEgress != 0 {
-		return flow.Egress
-	}
-	return flow.Ingress
 }

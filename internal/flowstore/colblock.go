@@ -9,16 +9,16 @@ import (
 	"booterscope/internal/flow"
 )
 
-// ColumnBlock is the columnar scan path's working set for one block:
-// frame scratch buffers, the parsed per-column byte views, the decoded
-// column vectors, and a selection bitmap. Blocks are pooled and
+// ColumnBlock is the scan path's working set for one block: the parsed
+// per-column byte views, the decoded column vectors, and a selection
+// bitmap. Blocks are pooled and
 // recycled across blocks, segments, and scans (including across
 // vantage scanners in a federated scan — every store shares the same
 // process-wide pool), so a steady-state scan allocates nothing per
 // block.
 //
 // Lifecycle (ownership rules in DESIGN.md §14): obtain with
-// getColumnBlock, fill with segmentReader.nextBlockColumnar, filter
+// getColumnBlock, fill with segmentReader.next, filter
 // with applyQuery, copy survivors OUT with appendSelected or
 // materializeSelected, then Release. The decoded column slices belong
 // to the block — consumers must never retain a view into cb.Cols past
@@ -26,10 +26,8 @@ import (
 // why survivors are compacted by copy into the consumer-owned
 // flow.Columns rather than handed out as sub-slices.
 type ColumnBlock struct {
-	// ixb and payload are frame-read scratch, sized once and reused.
-	ixb     []byte
-	payload []byte
-	// pb holds per-column byte views into payload.
+	// pb holds per-column byte views into the block's payload, which
+	// lives in the segment reader's prefetch buffer.
 	pb    parsedBlock
 	count int
 	// Cols holds decoded column vectors; only columns with decoded[i]
@@ -143,7 +141,7 @@ func decodeUvarints(dst []uint64, col []byte, count int) error {
 
 // decodeDict decodes a dict-encoded column into dst. Range validation
 // of the looked-up values is the caller's job (per row, matching the
-// row decoder's accept/reject behavior exactly).
+// test-side row decoder's accept/reject behavior exactly).
 //
 //bsvet:hotpath
 func decodeDict(dst []uint64, col []byte, count int) error {
@@ -286,7 +284,7 @@ func (cb *ColumnBlock) decodeCol(i int) error {
 }
 
 // decodeU16Col widens a value column into uint16s, rejecting
-// out-of-range values like the row decoder does.
+// out-of-range values like the test-side row decoder does.
 func (cb *ColumnBlock) decodeU16Col(i int, dst []uint16) error {
 	sp := u64ScratchPool.Get().(*[]uint64)
 	defer u64ScratchPool.Put(sp)

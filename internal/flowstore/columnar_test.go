@@ -268,15 +268,7 @@ func TestScanStatsColumnsDecoded(t *testing.T) {
 
 	// Row-decode oracle over the same archive: identical multiset
 	// accounting, full-decode fraction.
-	o, err := Open(dir, Options{RowDecode: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o.Close()
-	oStats, err := o.ScanBatches(q, func(b *pipe.Batch) error { b.Release(); return nil })
-	if err != nil {
-		t.Fatalf("row-decode scan: %v", err)
-	}
+	_, oStats := rowScan(t, dir, q)
 	if got := oStats.ColumnsDecodedFraction(); got != 1.0 {
 		t.Fatalf("row decode fraction = %v, want 1.0", got)
 	}
@@ -288,9 +280,9 @@ func TestScanStatsColumnsDecoded(t *testing.T) {
 }
 
 // TestRowDecodeOracleEquivalence is the flowstore-level differential:
-// the row-decode path and the columnar path must produce the identical
-// record multiset from ScanBatches and the identical ordered stream
-// from Scan.
+// the store's scans and the test-side row scanner (rowScan) must
+// produce the identical record multiset from ScanBatches and the
+// identical ordered stream from Scan.
 func TestRowDecodeOracleEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	recs := genFlows(rng, testBase, 4, 9000)
@@ -314,34 +306,38 @@ func TestRowDecodeOracleEquivalence(t *testing.T) {
 		{Protocols: []uint8{17}, PortsEither: []uint16{123}},
 		{From: testBase.Add(12 * time.Hour), To: testBase.Add(60 * time.Hour)},
 	}
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	for qi, q := range queries {
-		var ordered [2][]string     // Scan stream per path
-		var multi [2]map[string]int // ScanBatches multiset per path
-		for pi, rowDecode := range []bool{false, true} {
-			st, err := Open(dir, Options{RowDecode: rowDecode})
-			if err != nil {
-				t.Fatal(err)
+		var ordered [2][]string     // Scan stream: columnar, row oracle
+		var multi [2]map[string]int // ScanBatches multiset: columnar, row oracle
+		_, err = st.Scan(q, func(r *flow.Record) error {
+			ordered[0] = append(ordered[0], recordKey(r))
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("query %d scan: %v", qi, err)
+		}
+		multi[0] = make(map[string]int)
+		_, err = st.ScanBatches(q, func(b *pipe.Batch) error {
+			defer b.Release()
+			rs := b.Records()
+			for i := range rs {
+				multi[0][recordKey(&rs[i])]++
 			}
-			_, err = st.Scan(q, func(r *flow.Record) error {
-				ordered[pi] = append(ordered[pi], recordKey(r))
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("query %d scan (rowDecode=%v): %v", qi, rowDecode, err)
-			}
-			multi[pi] = make(map[string]int)
-			_, err = st.ScanBatches(q, func(b *pipe.Batch) error {
-				defer b.Release()
-				rs := b.Records()
-				for i := range rs {
-					multi[pi][recordKey(&rs[i])]++
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("query %d batches (rowDecode=%v): %v", qi, rowDecode, err)
-			}
-			st.Close()
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("query %d batches: %v", qi, err)
+		}
+		want, _ := rowScan(t, dir, q)
+		multi[1] = make(map[string]int)
+		for i := range want {
+			ordered[1] = append(ordered[1], recordKey(&want[i]))
+			multi[1][recordKey(&want[i])]++
 		}
 		if len(ordered[0]) != len(ordered[1]) {
 			t.Fatalf("query %d: ordered stream lengths %d vs %d", qi, len(ordered[0]), len(ordered[1]))

@@ -92,8 +92,36 @@ func loadManifest(dir string) (*manifest, error) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		return nil, fmt.Errorf("flowstore: corrupt manifest: %w", err)
 	}
-	if m.Version != manifestVersion {
-		return nil, fmt.Errorf("flowstore: manifest version %d not supported", m.Version)
+	if err := m.validate(); err != nil {
+		return nil, fmt.Errorf("flowstore: invalid manifest: %w", err)
 	}
 	return &m, nil
+}
+
+// validate rejects a manifest whose geometry or segment list the store
+// cannot use: the writer divides by Shards and PartitionSec and sizes
+// blocks by BlockRecords, and scan and recovery address segment files
+// by shard index and name.
+func (m *manifest) validate() error {
+	if m.Version != manifestVersion {
+		return fmt.Errorf("version %d not supported", m.Version)
+	}
+	if m.Shards < 1 {
+		return fmt.Errorf("shards %d, want >= 1", m.Shards)
+	}
+	if m.BlockRecords < 1 {
+		return fmt.Errorf("block_records %d, want >= 1", m.BlockRecords)
+	}
+	if m.PartitionSec < 1 {
+		return fmt.Errorf("partition_sec %d, want >= 1", m.PartitionSec)
+	}
+	for _, e := range m.Segments {
+		if e.Shard < 0 || e.Shard >= m.Shards {
+			return fmt.Errorf("segment %q in shard %d, want [0, %d)", e.File, e.Shard, m.Shards)
+		}
+		if _, _, err := parseSegName(e.File); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -42,9 +42,9 @@ type Query struct {
 	// are always decoded). Projected-out columns in delivered batches
 	// hold unspecified values, so a projecting caller must consume
 	// batches columnar — materializing records from a projected batch
-	// yields garbage in the omitted fields. The sorted Scan path and
-	// the row-decode oracle ignore Project and always produce full
-	// records. Zero means all columns.
+	// yields garbage in the omitted fields. The sorted Scan path
+	// ignores Project and always produces full records. Zero means all
+	// columns.
 	Project ColumnSet
 }
 
@@ -159,12 +159,11 @@ type ScanStats struct {
 	// records that passed the exact predicate and reached the caller.
 	RecordsScanned uint64
 	RecordsMatched uint64
-	// ColumnsDecoded and ColumnsTotal count per-block column decodes on
-	// the columnar path: every scanned (non-pruned) block contributes
-	// its column count to ColumnsTotal, and only the columns actually
-	// decoded — the predicate's columns, plus the rest when any row
-	// survives — to ColumnsDecoded. The row-decode oracle path decodes
-	// everything, so there the two are equal.
+	// ColumnsDecoded and ColumnsTotal count per-block column decodes:
+	// every scanned (non-pruned) block contributes its column count to
+	// ColumnsTotal, and only the columns actually decoded — the
+	// predicate's columns, plus the projected rest when any row
+	// survives — to ColumnsDecoded.
 	ColumnsDecoded uint64
 	ColumnsTotal   uint64
 }
@@ -195,9 +194,8 @@ func (s ScanStats) PruneFraction() float64 {
 
 // ColumnsDecodedFraction is the share of scanned blocks' columns the
 // lazy columnar path actually decoded — 1.0 means every column of
-// every scanned block was paid for (the row path's constant), lower
-// means predicate pushdown skipped whole columns of blocks no row
-// survived in.
+// every scanned block was paid for, lower means predicate pushdown
+// skipped whole columns of blocks no row survived in.
 func (s ScanStats) ColumnsDecodedFraction() float64 {
 	if s.ColumnsTotal == 0 {
 		return 0
@@ -219,11 +217,10 @@ type shardBatch struct {
 // start time and each partition's survivors are sorted stably, so the
 // stream is nondecreasing in Start with ties left in ingest order.
 type shardCursor struct {
-	shard int
-	ch    <-chan shardBatch
-	cur   *pipe.Batch
-	pos   int
-	err   error
+	ch  <-chan shardBatch
+	cur *pipe.Batch
+	pos int
+	err error
 }
 
 // Next advances to the next record, pulling batches as needed. A
@@ -305,6 +302,51 @@ func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(*mergeItem)) }
 func (h *mergeHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
+// merger is the pull-based k-way merge MergeStreams and Cursor share:
+// a heap of stream heads ordered by (Start, stream ordinal).
+type merger struct {
+	streams []RecordStream
+	h       mergeHeap
+	started bool
+}
+
+// next advances the stream whose head next last returned — on the
+// first call it pulls every stream's first record instead — and
+// returns the smallest head, or nil when every stream is exhausted. A
+// stream error is returned as soon as it is observed.
+func (m *merger) next() (*mergeItem, error) {
+	if !m.started {
+		m.started = true
+		m.h = make(mergeHeap, 0, len(m.streams))
+		for i, s := range m.streams {
+			r, ok := s.Next()
+			if !ok {
+				if err := s.Err(); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			m.h = append(m.h, &mergeItem{rec: r, stream: s, ord: i})
+		}
+		heap.Init(&m.h)
+	} else if m.h.Len() > 0 {
+		it := m.h[0]
+		if r, ok := it.stream.Next(); ok {
+			it.rec = r
+			heap.Fix(&m.h, 0)
+		} else {
+			heap.Pop(&m.h)
+			if err := it.stream.Err(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if m.h.Len() == 0 {
+		return nil, nil
+	}
+	return m.h[0], nil
+}
+
 // MergeStreams funnels k time-ordered record streams into one
 // deterministic stream: ascending Start, ties broken by stream index,
 // then by each stream's own record order. fn receives the index of the
@@ -315,31 +357,17 @@ func (h *mergeHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h
 // Close). On a clean merge every stream's Err is still checked so no
 // failure is swallowed.
 func MergeStreams(streams []RecordStream, fn func(i int, r *flow.Record) error) error {
-	h := make(mergeHeap, 0, len(streams))
-	for i, s := range streams {
-		r, ok := s.Next()
-		if !ok {
-			if err := s.Err(); err != nil {
-				return err
-			}
-			continue
-		}
-		h = append(h, &mergeItem{rec: r, stream: s, ord: i})
-	}
-	heap.Init(&h)
-	for h.Len() > 0 {
-		it := h[0]
-		if err := fn(it.ord, it.rec); err != nil {
+	m := merger{streams: streams}
+	for {
+		it, err := m.next()
+		if err != nil {
 			return err
 		}
-		if r, ok := it.stream.Next(); ok {
-			it.rec = r
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-			if err := it.stream.Err(); err != nil {
-				return err
-			}
+		if it == nil {
+			break
+		}
+		if err := fn(it.ord, it.rec); err != nil {
+			return err
 		}
 	}
 	for _, s := range streams {
@@ -361,8 +389,7 @@ func MergeStreams(streams []RecordStream, fn func(i int, r *flow.Record) error) 
 // called, even after exhaustion.
 type Cursor struct {
 	cursors []*shardCursor
-	h       mergeHeap
-	inited  bool
+	m       merger
 	done    chan struct{}
 	statsCh chan ScanStats
 	stats   ScanStats
@@ -389,9 +416,13 @@ func (s *Store) NewCursor(q Query) *Cursor {
 	for shard := 0; shard < shards; shard++ {
 		segs := byShard[shard]
 		ch := make(chan shardBatch, 2)
-		c.cursors = append(c.cursors, &shardCursor{shard: shard, ch: ch})
+		sc := &shardCursor{ch: ch}
+		c.cursors = append(c.cursors, sc)
+		// The stream ordinal is the shard index: equal start times
+		// resolve to the lower shard.
+		c.m.streams = append(c.m.streams, sc)
 		go func(shard int, segs []SegmentEntry, ch chan shardBatch) {
-			scanShard(dir, shard, segs, q, ch, c.statsCh, c.done, true, s.opts.RowDecode)
+			scanShard(dir, shard, segs, q, ch, c.statsCh, c.done, true)
 			close(ch)
 		}(shard, segs, ch)
 	}
@@ -405,38 +436,15 @@ func (c *Cursor) Next() (*flow.Record, bool) {
 	if c.closed || c.err != nil {
 		return nil, false
 	}
-	if !c.inited {
-		c.inited = true
-		c.h = make(mergeHeap, 0, len(c.cursors))
-		for _, sc := range c.cursors {
-			r, ok := sc.Next()
-			if !ok {
-				if sc.err != nil {
-					c.err = sc.err
-					return nil, false
-				}
-				continue
-			}
-			c.h = append(c.h, &mergeItem{rec: r, stream: sc, ord: sc.shard})
-		}
-		heap.Init(&c.h)
-	} else if c.h.Len() > 0 {
-		it := c.h[0]
-		if r, ok := it.stream.Next(); ok {
-			it.rec = r
-			heap.Fix(&c.h, 0)
-		} else {
-			heap.Pop(&c.h)
-			if err := it.stream.Err(); err != nil {
-				c.err = err
-				return nil, false
-			}
-		}
-	}
-	if c.h.Len() == 0 {
+	it, err := c.m.next()
+	if err != nil {
+		c.err = err
 		return nil, false
 	}
-	return c.h[0].rec, true
+	if it == nil {
+		return nil, false
+	}
+	return it.rec, true
 }
 
 // Err reports the first shard error the cursor observed (nil while
@@ -552,7 +560,7 @@ func (s *Store) ScanBatches(q Query, emit func(*pipe.Batch) error) (ScanStats, e
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			scanShard(dir, shard, byShard[shard], q, out, statsCh, done, false, s.opts.RowDecode)
+			scanShard(dir, shard, byShard[shard], q, out, statsCh, done, false)
 		}(shard)
 	}
 	go func() {
@@ -588,141 +596,17 @@ func (s *Store) ScanBatches(q Query, emit func(*pipe.Batch) error) (ScanStats, e
 }
 
 // scanShard streams one shard's matching records, partition by
-// partition, each partition's survivors sorted by start time when
-// sorted is set (the ordered Scan path; batch scans skip the sort). A
+// partition. Each block is parsed into a pooled ColumnBlock, the
+// compiled query predicate runs against only the columns it
+// references, and survivors are copied out column-wise — filtered-out
+// rows are never materialized, and blocks with no survivors never
+// decode their remaining columns. Unsorted scans emit columnar batches
+// (pipe.Batch.Cols); the sorted path (the ordered Scan) materializes
+// each partition's survivors into records and sorts them by start
+// time for the k-way merge, which needs whole flow.Records anyway. A
 // close of done cancels the scan: pending sends abort and no further
 // segments are decoded. The caller owns out; stats are always sent.
-//
-// rowDecode selects the legacy row-at-a-time decoder — kept as the
-// differential-testing oracle for the columnar path (Options.RowDecode
-// and the golden tests pin columnar == row byte-identically).
-func scanShard(dir string, shard int, segs []SegmentEntry, q Query, out chan<- shardBatch, statsCh chan<- ScanStats, done <-chan struct{}, sorted, rowDecode bool) {
-	if !rowDecode {
-		scanShardColumnar(dir, shard, segs, q, out, statsCh, done, sorted)
-		return
-	}
-	var stats ScanStats
-	defer func() {
-		statsCh <- stats
-	}()
-	send := func(b shardBatch) bool {
-		select {
-		case out <- b:
-			return true
-		case <-done:
-			return false
-		}
-	}
-	shardDir := filepath.Join(dir, fmt.Sprintf("shard-%02d", shard))
-	for i := 0; i < len(segs); {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		// Group segments of one partition: their records interleave in
-		// time and must be sorted together.
-		j := i + 1
-		for j < len(segs) && segs[j].PartitionSec == segs[i].PartitionSec {
-			j++
-		}
-		// The partition slab comes from the batch pool: after a few
-		// partitions the scanner cycles grown slabs instead of handing
-		// a fresh allocation per partition to the garbage collector.
-		slab := pipe.NewBatch()
-		part := slab.Recs
-		for _, e := range segs[i:j] {
-			stats.SegmentsScanned++
-			r, err := openSegmentReader(filepath.Join(shardDir, e.File))
-			if err != nil {
-				slab.Recs = part
-				slab.Release()
-				send(shardBatch{err: err})
-				return
-			}
-			for {
-				before := len(part)
-				recs, _, err := r.nextBlock(&q, part)
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				if err != nil {
-					r.close()
-					slab.Recs = part
-					slab.Release()
-					send(shardBatch{err: err})
-					return
-				}
-				if recs == nil {
-					stats.BlocksPruned++
-					metricBlocksPruned.Inc()
-					continue
-				}
-				part = recs
-				decoded := len(part) - before
-				stats.BlocksScanned++
-				stats.RecordsScanned += uint64(decoded)
-				// Row decode always pays for every column.
-				stats.ColumnsDecoded += nCols
-				stats.ColumnsTotal += nCols
-				metricBlocksScanned.Inc()
-				metricRecordsScanned.Add(uint64(decoded))
-				// Filter in place: only survivors stay for the sort.
-				kept := part[:before]
-				for k := before; k < len(part); k++ {
-					if q.matches(&part[k]) {
-						kept = append(kept, part[k])
-					}
-				}
-				part = kept
-				// Unsorted scans need no partition-wide slab: flush at
-				// batch granularity so every pooled slab converges on
-				// DefaultBatchSize capacity instead of ballooning to
-				// whole partitions.
-				if !sorted && len(part) >= pipe.DefaultBatchSize {
-					slab.Recs = part
-					stats.RecordsMatched += uint64(len(part))
-					metricRecordsMatched.Add(uint64(len(part)))
-					if !send(shardBatch{batch: slab}) {
-						slab.Release()
-						r.close()
-						return
-					}
-					slab = pipe.NewBatch()
-					part = slab.Recs
-				}
-			}
-			r.close()
-		}
-		slab.Recs = part
-		if len(part) > 0 {
-			if sorted {
-				// Stable: equal timestamps keep ingest order, the
-				// tertiary key of the deterministic merge order.
-				sort.SliceStable(part, func(a, b int) bool { return part[a].Start.Before(part[b].Start) })
-			}
-			stats.RecordsMatched += uint64(len(part))
-			metricRecordsMatched.Add(uint64(len(part)))
-			if !send(shardBatch{batch: slab}) {
-				slab.Release()
-				return
-			}
-		} else {
-			slab.Release()
-		}
-		i = j
-	}
-}
-
-// scanShardColumnar is the columnar scan path: each block is parsed
-// into a pooled ColumnBlock, the compiled query predicate runs against
-// only the columns it references, and survivors are copied out
-// column-wise — filtered-out rows are never materialized, and blocks
-// with no survivors never decode their remaining columns. Unsorted
-// scans emit columnar batches (pipe.Batch.Cols); the sorted path
-// materializes survivors into records for the k-way merge, which
-// needs whole flow.Records anyway.
-func scanShardColumnar(dir string, shard int, segs []SegmentEntry, q Query, out chan<- shardBatch, statsCh chan<- ScanStats, done <-chan struct{}, sorted bool) {
+func scanShard(dir string, shard int, segs []SegmentEntry, q Query, out chan<- shardBatch, statsCh chan<- ScanStats, done <-chan struct{}, sorted bool) {
 	var stats ScanStats
 	defer func() {
 		statsCh <- stats
@@ -756,6 +640,8 @@ func scanShardColumnar(dir string, shard int, segs []SegmentEntry, q Query, out 
 		default:
 		}
 		j := i + 1
+		// Group segments of one partition: their records interleave in
+		// time and must be sorted together.
 		for j < len(segs) && segs[j].PartitionSec == segs[i].PartitionSec {
 			j++
 		}
@@ -797,13 +683,13 @@ func scanShardColumnar(dir string, shard int, segs []SegmentEntry, q Query, out 
 		}
 		for _, e := range segs[i:j] {
 			stats.SegmentsScanned++
-			r, err := openSegmentReaderPrefetch(filepath.Join(shardDir, e.File))
+			r, err := openSegment(filepath.Join(shardDir, e.File))
 			if err != nil {
 				fail(nil, err)
 				return
 			}
 			for {
-				pruned, err := r.nextBlockColumnar(&q, cb)
+				pruned, err := r.next(&q, cb)
 				if errors.Is(err, io.EOF) {
 					break
 				}

@@ -31,7 +31,8 @@ import (
 // There is no footer: a sealed segment is simply one whose blocks are
 // all recorded in the store manifest. Recovery re-scans unsealed files
 // frame by frame, truncating the first torn or CRC-corrupt frame and
-// everything after it.
+// everything after it. Scans verify every frame's CRC as well and fail
+// on a sealed segment's corrupt frame rather than decode it.
 
 var segMagic = [8]byte{'B', 'S', 'F', 'S', 'S', 'E', 'G', '1'}
 
@@ -241,10 +242,8 @@ type segScan struct {
 }
 
 // scanSegmentFile reads every frame, verifying CRCs, and stops at the
-// first torn or corrupt frame. verify toggles CRC checking (sealed
-// segments listed in the manifest skip it on the scan fast path; the
-// recovery path always verifies).
-func scanSegmentFile(path string, verify bool) (*segScan, error) {
+// first torn or corrupt frame.
+func scanSegmentFile(path string) (*segScan, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -281,7 +280,7 @@ func scanSegmentFile(path string, verify bool) (*segScan, error) {
 			s.torn = true
 			break
 		}
-		if verify && crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(head[4:8]) {
+		if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(head[4:8]) {
 			s.torn = true
 			break
 		}
@@ -313,22 +312,21 @@ func scanSegmentFile(path string, verify bool) (*segScan, error) {
 // every CRC. A torn tail is not an error: the returned blocks cover the
 // recoverable prefix only.
 func InspectSegment(path string) ([]BlockInfo, error) {
-	s, err := scanSegmentFile(path, true)
+	s, err := scanSegmentFile(path)
 	if err != nil {
 		return nil, err
 	}
 	return s.blocks, nil
 }
 
-// segmentReader iterates the matching blocks of one on-disk segment.
-// With data non-nil the whole segment was prefetched into a pooled
-// buffer and block reads are slice operations; otherwise each block is
-// read positionally from the file.
+// segmentReader iterates the blocks of one on-disk segment. The whole
+// segment is prefetched into a pooled buffer with one read syscall, so
+// a full-archive scan costs one syscall per segment instead of three
+// per block, and block reads are slice operations on the buffer.
 type segmentReader struct {
-	f    *os.File
-	size int64
-	off  int64
-	data []byte  // whole-file prefetch; nil for positional readers
+	path string
+	off  int
+	data []byte  // the whole segment file
 	bufp *[]byte // pool slot backing data, returned on close
 }
 
@@ -338,30 +336,10 @@ type segmentReader struct {
 // per concurrently scanned shard.
 var segBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-func openSegmentReader(path string) (*segmentReader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || magic != segMagic {
-		f.Close()
-		return nil, fmt.Errorf("flowstore: %s: bad segment magic", path)
-	}
-	return &segmentReader{f: f, size: st.Size(), off: int64(len(segMagic))}, nil
-}
-
-// openSegmentReaderPrefetch reads the entire segment into a pooled
-// buffer with one read syscall and iterates blocks as slices of it —
-// the columnar scan path uses this so a full-archive scan costs one
-// syscall per segment instead of three per block. Views handed out by
-// nextBlockColumnar point into the buffer and are valid until close.
-func openSegmentReaderPrefetch(path string) (*segmentReader, error) {
+// openSegment reads the segment at path into a pooled buffer and checks
+// its magic. Views handed out by next point into the buffer and are
+// valid until close.
+func openSegment(path string) (*segmentReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -392,13 +370,10 @@ func openSegmentReaderPrefetch(path string) (*segmentReader, error) {
 		return nil, fmt.Errorf("flowstore: %s: bad segment magic", path)
 	}
 	*bufp = buf
-	return &segmentReader{size: size, off: int64(len(segMagic)), data: buf, bufp: bufp}, nil
+	return &segmentReader{path: path, off: len(segMagic), data: buf, bufp: bufp}, nil
 }
 
 func (r *segmentReader) close() {
-	if r.f != nil {
-		r.f.Close()
-	}
 	if r.bufp != nil {
 		*r.bufp = r.data[:0]
 		segBufPool.Put(r.bufp)
@@ -406,110 +381,42 @@ func (r *segmentReader) close() {
 	}
 }
 
-// nextBlock reads the next frame's index; when the query prunes the
-// block, the payload is skipped without being read. Returns nil records
-// with a non-nil index for pruned blocks and (nil, nil, io.EOF) at the
-// end.
-func (r *segmentReader) nextBlock(q *Query, recs []flow.Record) ([]flow.Record, *blockIndex, error) {
-	if r.off >= r.size {
-		return nil, nil, io.EOF
-	}
-	var head [frameHeadLen]byte
-	if _, err := r.f.ReadAt(head[:], r.off); err != nil {
-		return nil, nil, fmt.Errorf("flowstore: reading frame header: %w", err)
-	}
-	frameLen := int64(binary.BigEndian.Uint32(head[0:4]))
-	if frameLen < blockIndexLen || r.off+frameHeadLen+frameLen > r.size {
-		return nil, nil, fmt.Errorf("flowstore: %w at offset %d (unrecovered segment?)", errTornFrame, r.off)
-	}
-	ixb := make([]byte, blockIndexLen)
-	if _, err := r.f.ReadAt(ixb, r.off+frameHeadLen); err != nil {
-		return nil, nil, err
-	}
-	ix, err := unmarshalIndex(ixb)
-	if err != nil {
-		return nil, nil, err
-	}
-	if ix.prunable(q) {
-		r.off += frameHeadLen + frameLen
-		return nil, &ix, nil
-	}
-	payload := make([]byte, frameLen-blockIndexLen)
-	if _, err := r.f.ReadAt(payload, r.off+frameHeadLen+blockIndexLen); err != nil {
-		return nil, nil, err
-	}
-	recs, err = decodeBlock(recs, payload, int(ix.Records))
-	if err != nil {
-		return nil, nil, err
-	}
-	r.off += frameHeadLen + frameLen
-	return recs, &ix, nil
-}
-
-// nextBlockColumnar is nextBlock's columnar counterpart: the frame is
-// read into cb's reusable scratch buffers (no per-block allocation)
-// and only parsed into column views — decoding is left to the caller's
-// pushed-down predicate. Pruned blocks skip the payload read entirely
-// and report pruned=true with cb left empty. Returns io.EOF at the end
-// of the segment.
-func (r *segmentReader) nextBlockColumnar(q *Query, cb *ColumnBlock) (pruned bool, err error) {
-	if r.off >= r.size {
+// next checks the next frame's CRC, then reads its index and parses
+// its payload into column views in cb — decoding is left to the
+// caller's pushed-down predicate. Every frame is verified before its
+// index or payload is trusted, pruned frames included. A block the
+// query prunes reports pruned=true with cb left empty. Returns io.EOF
+// at the end of the segment.
+func (r *segmentReader) next(q *Query, cb *ColumnBlock) (pruned bool, err error) {
+	if r.off >= len(r.data) {
 		return false, io.EOF
 	}
-	var head [frameHeadLen]byte
-	if r.data != nil {
-		copy(head[:], r.data[r.off:])
-	} else if _, err := r.f.ReadAt(head[:], r.off); err != nil {
-		return false, fmt.Errorf("flowstore: reading frame header: %w", err)
+	if len(r.data)-r.off < frameHeadLen {
+		return false, fmt.Errorf("flowstore: %s: %w at offset %d (unrecovered segment?)", r.path, errTornFrame, r.off)
 	}
-	frameLen := int64(binary.BigEndian.Uint32(head[0:4]))
-	if frameLen < blockIndexLen || r.off+frameHeadLen+frameLen > r.size {
-		return false, fmt.Errorf("flowstore: %w at offset %d (unrecovered segment?)", errTornFrame, r.off)
+	head := r.data[r.off : r.off+frameHeadLen]
+	frameLen := int(binary.BigEndian.Uint32(head[0:4]))
+	if frameLen < blockIndexLen || frameLen > len(r.data)-r.off-frameHeadLen {
+		return false, fmt.Errorf("flowstore: %s: %w at offset %d (unrecovered segment?)", r.path, errTornFrame, r.off)
 	}
-	var ixb []byte
-	if r.data != nil {
-		ixb = r.data[r.off+frameHeadLen : r.off+frameHeadLen+blockIndexLen]
-	} else {
-		if cap(cb.ixb) < blockIndexLen {
-			cb.ixb = make([]byte, blockIndexLen)
-		}
-		cb.ixb = cb.ixb[:blockIndexLen]
-		if _, err := r.f.ReadAt(cb.ixb, r.off+frameHeadLen); err != nil {
-			return false, err
-		}
-		ixb = cb.ixb
+	body := r.data[r.off+frameHeadLen : r.off+frameHeadLen+frameLen]
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(head[4:8]) {
+		return false, fmt.Errorf("flowstore: %s: frame at offset %d fails its CRC check", r.path, r.off)
 	}
-	ix, err := unmarshalIndex(ixb)
+	ix, err := unmarshalIndex(body)
 	if err != nil {
 		return false, err
 	}
+	r.off += frameHeadLen + frameLen
 	if ix.prunable(q) {
-		r.off += frameHeadLen + frameLen
 		cb.reset()
 		return true, nil
 	}
-	plen := int(frameLen - blockIndexLen)
-	var payload []byte
-	if r.data != nil {
-		// Zero-copy view into the prefetched segment: valid until the
-		// reader closes, and cb only reads it during load and column
-		// decode — the decoded columns it hands onward are cb-owned.
-		payload = r.data[r.off+frameHeadLen+blockIndexLen : r.off+frameHeadLen+frameLen]
-	} else {
-		if cap(cb.payload) < plen {
-			cb.payload = make([]byte, plen)
-		}
-		cb.payload = cb.payload[:plen]
-		payload = cb.payload
-	}
-	if r.data == nil {
-		if _, err := r.f.ReadAt(payload, r.off+frameHeadLen+blockIndexLen); err != nil {
-			return false, err
-		}
-	}
-	if err := cb.load(payload, int(ix.Records)); err != nil {
+	// Zero-copy view into the prefetched segment: valid until the
+	// reader closes, and cb only reads it during load and column
+	// decode — the decoded columns it hands onward are cb-owned.
+	if err := cb.load(body[blockIndexLen:], int(ix.Records)); err != nil {
 		return false, err
 	}
-	r.off += frameHeadLen + frameLen
 	return false, nil
 }
